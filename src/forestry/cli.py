@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: schubert, forest, check, pipedreams, verify.  Exit codes:
-0 success / verdicts agree, 1 usage or parse errors, 2 a verdict split
-(the pattern test and the polynomial test disagreeing) or an oracle
-mismatch.  ``--json`` keeps stdout machine-parseable; progress chatter for
-long verification runs goes to stderr.
+0 success / verdicts agree, 1 usage or parse errors or a reader that closed
+stdout early, 2 a verdict split (the pattern test and the polynomial test
+disagreeing) or an oracle mismatch.  ``--json`` keeps stdout
+machine-parseable; progress chatter for long verification runs goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .forests import (
 )
 from .permutations import (
     FORBIDDEN_PATTERNS,
+    PATTERN_1432,
     LehmerCode,
     Permutation,
     contains_pattern,
@@ -183,7 +185,7 @@ def _cmd_check(args) -> int:
     by_pattern = not hits
     by_expansion = is_forest_by_expansion(w)
     bad = None
-    if not contains_pattern(w, (1, 4, 3, 2)):
+    if not contains_pattern(w, PATTERN_1432):
         bad = find_bad_pair(w)
 
     if by_pattern:
@@ -326,7 +328,15 @@ _COMMANDS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``forestry ... | head``); point stdout at
+        # devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -20,22 +20,23 @@ that identification:
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from .forests import (
-    IndexedForest,
     Labeling,
     Vertex,
+    _labeling_sum,
     forest_from_code,
     forest_polynomial,
     is_valid_labeling,
-    valid_labelings,
 )
 from .permutations import (
+    PATTERN_1432,
     Permutation,
     all_permutations,
     avoids_forbidden,
@@ -43,8 +44,14 @@ from .permutations import (
     lehmer_code,
     trim,
 )
-from .pipedreams import Cell, PipeDream, _closure, _sum_of_weights, schubert
-from .polynomials import Monomial, Polynomial
+from .pipedreams import (
+    Cell,
+    PipeDream,
+    _closure,
+    _sum_of_weights,
+    schubert,
+    slide_target,
+)
 
 __all__ = [
     "BadPair",
@@ -68,27 +75,20 @@ def covering_relation(w: Permutation) -> frozenset:
 def labeling_to_pipe_dream(w: Permutation, labeling: Labeling) -> PipeDream:
     """Slide each crossing of the bottom dream up to the row its label asks
     for, working top to bottom and right to left; raises ValueError on an
-    invalid labeling.  A blocked slide would disprove injectivity and aborts
-    hard — it cannot happen for a valid labeling."""
+    invalid labeling, and on a blocked slide (which would disprove
+    injectivity and cannot happen for a valid labeling)."""
     w = trim(w)
     forest = forest_from_code(lehmer_code(w))
     if not is_valid_labeling(forest, labeling):
         raise ValueError(f"not a valid labeling of the forest of {w}: {labeling}")
     want = dict(zip(forest.vertices, labeling))
-    cells: set[Cell] = set(forest.vertices)  # ids coincide with bottom cells
-    for v in sorted(forest.vertices, key=lambda u: (u[0], -u[1])):
-        r, c = v
-        while r > want[v]:
-            blocked = (
-                (r - 1, c) in cells
-                or (r - 1, c + 1) in cells
-                or (r, c + 1) in cells
-            )
-            assert not blocked, f"simple slide of {v} blocked at {(r, c)}"
-            cells.remove((r, c))
-            r, c = r - 1, c + 1
-            cells.add((r, c))
-    return frozenset(cells)
+    # each crossing v climbs row(v) - f(v) steps, top to bottom, right to left
+    moves = [
+        v
+        for v in sorted(forest.vertices, key=lambda u: (u[0], -u[1]))
+        for _ in range(v[0] - want[v])
+    ]
+    return frozenset(replay_simple_moves(w, moves).values())
 
 
 @dataclass(frozen=True)
@@ -105,53 +105,38 @@ class BadPair:
 
 
 def replay_simple_moves(w: Permutation, moves) -> dict[Vertex, Cell]:
-    """Apply a BadPair witness; returns the final id -> cell placement."""
+    """Slide the named crossings of the bottom pipe dream one step each, in
+    order; returns the final id -> cell placement.  Raises ValueError when a
+    slide is blocked."""
     ids = forest_from_code(lehmer_code(trim(w))).vertices
     pos: dict[Vertex, Cell] = {v: v for v in ids}
     cells: set[Cell] = set(ids)
     for moved in moves:
-        r, c = pos[moved]
-        ok = (
-            r > 1
-            and (r - 1, c) not in cells
-            and (r - 1, c + 1) not in cells
-            and (r, c + 1) not in cells
-        )
-        if not ok:
-            raise ValueError(f"witness move of {moved} not applicable at {(r, c)}")
-        cells.remove((r, c))
-        pos[moved] = (r - 1, c + 1)
-        cells.add(pos[moved])
+        target = slide_target(cells, pos[moved])
+        if target is None:
+            raise ValueError(f"simple move of {moved} not applicable at {pos[moved]}")
+        cells.remove(pos[moved])
+        cells.add(target)
+        pos[moved] = target
     return pos
 
 
-def find_bad_pair(
-    w: Permutation, *, require_equal_row: bool = False
-) -> Optional[BadPair]:
+def find_bad_pair(w: Permutation) -> Optional[BadPair]:
     """Breadth-first search of the id-tracked simple-move closure for a
-    covering pair with row(child) <= row(parent) (== when
-    ``require_equal_row``; both variants agree, which the tests assert)."""
+    covering pair with row(child) <= row(parent)."""
     w = trim(w)
     forest = forest_from_code(lehmer_code(w))
     ids = forest.vertices
     slot = {v: i for i, v in enumerate(ids)}
     pairs = [(slot[p], slot[c]) for p, c in forest.covers]
     start = tuple(ids)
-
-    def hit(state) -> Optional[tuple[int, int]]:
-        for pi, ci in pairs:
-            child_row, parent_row = state[ci][0], state[pi][0]
-            if child_row == parent_row or (
-                not require_equal_row and child_row < parent_row
-            ):
-                return pi, ci
-        return None
-
     prev: dict[tuple, Optional[tuple]] = {start: None}
     queue = deque([start])
     while queue:
         state = queue.popleft()
-        found = hit(state)
+        found = next(
+            ((pi, ci) for pi, ci in pairs if state[ci][0] <= state[pi][0]), None
+        )
         if found is not None:
             moves: list[Vertex] = []
             cursor = state
@@ -161,14 +146,10 @@ def find_bad_pair(
             moves.reverse()
             return BadPair(parent=ids[found[0]], child=ids[found[1]], moves=tuple(moves))
         occupied = set(state)
-        for idx, (r, c) in enumerate(state):
-            if (
-                r > 1
-                and (r - 1, c) not in occupied
-                and (r - 1, c + 1) not in occupied
-                and (r, c + 1) not in occupied
-            ):
-                nxt = state[:idx] + ((r - 1, c + 1),) + state[idx + 1 :]
+        for idx, cell in enumerate(state):
+            target = slide_target(occupied, cell)
+            if target is not None:
+                nxt = state[:idx] + (target,) + state[idx + 1 :]
                 if nxt not in prev:
                     prev[nxt] = (state, idx)
                     queue.append(nxt)
@@ -187,79 +168,67 @@ def is_forest_by_expansion(w: Permutation) -> bool:
     return schubert(w) == forest_polynomial(forest_from_code(lehmer_code(w)))
 
 
-def _expansion_equal_uncached(w: Permutation) -> bool:
-    # cache-free path for bulk verification runs
-    poly = _sum_of_weights(_closure(w, simple_only=False))
-    forest = forest_from_code(lehmer_code(w))
-    terms: dict[Monomial, int] = {}
-    for labeling in valid_labelings(forest):
-        exps = [0] * (max(labeling) if labeling else 0)
-        for val in labeling:
-            exps[val - 1] += 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + 1
-    return poly == Polynomial(terms)
+@dataclass(frozen=True)
+class VerifyReport:
+    """Counts and disagreement lists of a verification run.  The fields
+    between ``n`` and ``elapsed_ms`` are tallies: a batch starts from their
+    defaults and batches merge by adding them."""
 
+    n: int
+    total: int = 0
+    pattern_positive: int = 0
+    expansion_positive: int = 0
+    disagreements: tuple[dict, ...] = ()
+    badpair_checked: int = 0
+    badpair_disagreements: tuple[dict, ...] = ()
+    elapsed_ms: int = 0
 
-_PATTERN_1432 = (1, 4, 3, 2)
+    def to_json_obj(self) -> dict:
+        return {
+            f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+            for f in fields(self)
+        }
 
 
 def _verify_batch(perms: tuple[Permutation, ...]) -> dict:
+    # bulk path: the unmemoized closure and labeling sum, so a run over S_n
+    # fills no cache
     out = {
-        "total": 0,
-        "pattern_positive": 0,
-        "expansion_positive": 0,
-        "disagreements": [],
-        "badpair_checked": 0,
-        "badpair_disagreements": [],
+        f.name: f.default
+        for f in fields(VerifyReport)
+        if f.name not in ("n", "elapsed_ms")
     }
     for w in perms:
         w = trim(w)
         by_pattern = is_forest_by_pattern(w)
-        by_expansion = _expansion_equal_uncached(w)
+        poly = _sum_of_weights(_closure(w, simple_only=False))
+        by_expansion = poly == _labeling_sum(forest_from_code(lehmer_code(w)))
         out["total"] += 1
         out["pattern_positive"] += by_pattern
         out["expansion_positive"] += by_expansion
         if by_pattern != by_expansion:
-            out["disagreements"].append(
-                {"permutation": list(w), "pattern": by_pattern, "expansion": by_expansion}
+            out["disagreements"] += (
+                {
+                    "permutation": list(w),
+                    "pattern": by_pattern,
+                    "expansion": by_expansion,
+                },
             )
-        if not contains_pattern(w, _PATTERN_1432):
+        if not contains_pattern(w, PATTERN_1432):
             out["badpair_checked"] += 1
             bad = find_bad_pair(w) is not None
             if bad == by_expansion:  # a bad pair must appear iff expansion fails
-                out["badpair_disagreements"].append(
+                out["badpair_disagreements"] += (
                     {
                         "permutation": list(w),
                         "bad_pair_found": bad,
                         "expansion_equal": by_expansion,
-                    }
+                    },
                 )
     return out
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    n: int
-    total: int
-    pattern_positive: int
-    expansion_positive: int
-    disagreements: tuple[dict, ...]
-    badpair_checked: int
-    badpair_disagreements: tuple[dict, ...]
-    elapsed_ms: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "total": self.total,
-            "pattern_positive": self.pattern_positive,
-            "expansion_positive": self.expansion_positive,
-            "disagreements": list(self.disagreements),
-            "badpair_checked": self.badpair_checked,
-            "badpair_disagreements": list(self.badpair_disagreements),
-            "elapsed_ms": self.elapsed_ms,
-        }
+_CHUNK_SIZE = 1000
 
 
 def _chunks(n: int, size: int):
@@ -273,6 +242,12 @@ def _chunks(n: int, size: int):
         yield tuple(batch)
 
 
+def _worker_count(jobs: int, chunks: int) -> int:
+    """Processes worth starting: no more than asked for, than there are
+    chunks to hand out, or than there are CPUs."""
+    return max(1, min(jobs, chunks, os.cpu_count() or 1))
+
+
 def verify_theorem(
     n: int,
     jobs: int = 1,
@@ -281,7 +256,7 @@ def verify_theorem(
     """Exhaustively compare the pattern test against the polynomial test on
     S_n, cross-checking bad-pair detection on the 1432-avoiding part.
 
-    Runs in lexicographic chunks of 1000 (optionally fanned out over
+    Runs in lexicographic chunks of 1000 (optionally fanned out over up to
     ``jobs`` processes, merged in order); ``progress(done, total)`` fires
     after each chunk.
     """
@@ -291,14 +266,7 @@ def verify_theorem(
     total = 1
     for i in range(2, n + 1):
         total *= i
-    merged = {
-        "total": 0,
-        "pattern_positive": 0,
-        "expansion_positive": 0,
-        "disagreements": [],
-        "badpair_checked": 0,
-        "badpair_disagreements": [],
-    }
+    merged = _verify_batch(())
 
     def absorb(batch_result: dict) -> None:
         for key, value in batch_result.items():
@@ -306,21 +274,15 @@ def verify_theorem(
         if progress is not None:
             progress(merged["total"], total)
 
-    if jobs <= 1:
-        for chunk in _chunks(n, 1000):
+    jobs = _worker_count(jobs, (total + _CHUNK_SIZE - 1) // _CHUNK_SIZE)
+    if jobs == 1:
+        for chunk in _chunks(n, _CHUNK_SIZE):
             absorb(_verify_batch(chunk))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_verify_batch, _chunks(n, 1000)):
+            for result in pool.map(_verify_batch, _chunks(n, _CHUNK_SIZE)):
                 absorb(result)
 
     return VerifyReport(
-        n=n,
-        total=merged["total"],
-        pattern_positive=merged["pattern_positive"],
-        expansion_positive=merged["expansion_positive"],
-        disagreements=tuple(merged["disagreements"]),
-        badpair_checked=merged["badpair_checked"],
-        badpair_disagreements=tuple(merged["badpair_disagreements"]),
-        elapsed_ms=int((time.monotonic() - started) * 1000),
+        n=n, elapsed_ms=int((time.monotonic() - started) * 1000), **merged
     )

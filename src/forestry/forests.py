@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from .permutations import LehmerCode, trim_zeros
-from .polynomials import Monomial, Polynomial
+from .permutations import _CACHE_SIZE, LehmerCode, trim_zeros
+from .polynomials import Polynomial, monomial_of, sum_of_monomials
 
 Vertex = tuple[int, int]  # (rho, ordinal), both 1-based
 Labeling = tuple[int, ...]  # values aligned with IndexedForest.vertices
@@ -38,7 +38,6 @@ __all__ = [
     "forest_polynomial",
     "render_forest",
     "forest_to_json",
-    "forest_from_json",
 ]
 
 
@@ -56,9 +55,6 @@ class IndexedForest:
     def _vertex_set(self) -> frozenset:
         return frozenset(self.vertices)
 
-    def rho(self, v: Vertex) -> int:
-        return v[0]
-
     def left_child(self, v: Vertex) -> Optional[Vertex]:
         return (v[0], v[1] - 1) if v[1] > 1 else None
 
@@ -74,7 +70,8 @@ class IndexedForest:
             if up in self._vertex_set:
                 out[v] = (up, False)
         for parent, child in self.covers:
-            assert child not in out, "vertex with two parents"
+            if child in out:
+                raise RuntimeError(f"vertex {child} has two parents")
             out[child] = (parent, True)
         return out
 
@@ -98,31 +95,32 @@ def _covers_from_code(code: LehmerCode) -> list[tuple[Vertex, Vertex]]:
     n = len(code)
     covers: list[tuple[Vertex, Vertex]] = []
     done: set[int] = set()
-
-    def process(row: int) -> None:
-        done.add(row)
-        p = row + 1
-        covered_any = False
-        for t in range(1, code[row - 1] + 1):
+    for start in range(1, n + 1):
+        if not code[start - 1] or start in done:
+            continue
+        done.add(start)
+        # one frame per chain being processed: [row, next vertex t, scan
+        # position p, covered_any]; a cover pushes the covered row's frame
+        stack = [[start, 1, start + 1, False]]
+        while stack:
+            frame = stack[-1]
+            row, t, p, covered_any = frame
             while p <= n and (p in done or (covered_any and code[p - 1] == 0)):
                 p += 1
-            if p > n:
-                break
+            if t > code[row - 1] or p > n:
+                stack.pop()
+                continue
             if code[p - 1] == 0:
-                p += 1
+                frame[1:3] = t + 1, p + 1
                 continue
             covers.append(((row, t), (p, code[p - 1])))
-            process(p)
-            covered_any = True
-            p += 1
-
-    for row in range(1, n + 1):
-        if code[row - 1] and row not in done:
-            process(row)
+            frame[1:] = t + 1, p + 1, True
+            done.add(p)
+            stack.append([p, 1, p + 1, False])
     return covers
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _forest_from_code_cached(code: LehmerCode) -> IndexedForest:
     vertices = tuple(
         (row, t)
@@ -132,8 +130,8 @@ def _forest_from_code_cached(code: LehmerCode) -> IndexedForest:
     covers = _covers_from_code(code)
     forest = IndexedForest(code=code, vertices=vertices, covers=tuple(sorted(covers)))
     for parent, child in covers:
-        assert child[0] > parent[0], "right child must have larger rho"
-        assert child[1] == code[child[0] - 1], "right child must top its chain"
+        if not (child[0] > parent[0] and child[1] == code[child[0] - 1]):
+            raise RuntimeError(f"cover {parent} -> {child} is not a right-child edge")
     return forest
 
 
@@ -145,12 +143,8 @@ def forest_from_code(code: LehmerCode) -> IndexedForest:
 
 
 def code_of_forest(forest: IndexedForest) -> LehmerCode:
-    if not forest.vertices:
-        return ()
-    counts = [0] * max(v[0] for v in forest.vertices)
-    for v in forest.vertices:
-        counts[v[0] - 1] += 1
-    return trim_zeros(tuple(counts))
+    """Vertices per row: the trimmed code the forest was built from."""
+    return monomial_of([v[0] for v in forest.vertices])
 
 
 def _topological(forest: IndexedForest) -> list[Vertex]:
@@ -161,31 +155,33 @@ def _topological(forest: IndexedForest) -> list[Vertex]:
 def valid_labelings(forest: IndexedForest) -> tuple[Labeling, ...]:
     """All valid labelings, deterministically ordered (values ascending in
     parent-first vertex order); each aligned with ``forest.vertices``."""
-    order = _topological(forest)
     slot = {v: i for i, v in enumerate(forest.vertices)}
-    chosen: dict[Vertex, int] = {}
+    # per vertex, parents first: (slot, parent slot, start, rho).  A vertex
+    # counts up from its parent's value + start: a left child (start -1) may
+    # repeat it, a right child (start 0) may not.  Roots count as right
+    # children of the always-zero sentinel slot -1
+    steps = []
+    for v in _topological(forest):
+        parent, is_right = forest.parent(v) or (None, True)
+        steps.append((slot[v], slot.get(parent, -1), 0 if is_right else -1, v[0]))
+    if not steps:
+        return ((),)
+    values = [0] * (len(steps) + 1)
     out: list[Labeling] = []
-
-    def rec(pos: int) -> None:
-        if pos == len(order):
-            values = [0] * len(order)
-            for v, val in chosen.items():
-                values[slot[v]] = val
-            out.append(tuple(values))
-            return
-        v = order[pos]
-        up = forest.parent(v)
-        if up is None:
-            lo = 1
-        else:
-            parent, is_right = up
-            lo = chosen[parent] + (1 if is_right else 0)
-        for val in range(lo, forest.rho(v) + 1):
-            chosen[v] = val
-            rec(pos + 1)
-        chosen.pop(v, None)
-
-    rec(0)
+    last = len(steps) - 1
+    k = 0
+    while k >= 0:
+        s, _, _, rho = steps[k]
+        if values[s] >= rho:
+            k -= 1
+            continue
+        values[s] += 1
+        if k == last:
+            out.append(tuple(values[:-1]))
+            continue
+        k += 1
+        s, parent, start, _ = steps[k]
+        values[s] = values[parent] + start
     return tuple(out)
 
 
@@ -194,7 +190,7 @@ def is_valid_labeling(forest: IndexedForest, labeling: Labeling) -> bool:
         return False
     value = dict(zip(forest.vertices, labeling))
     for v in forest.vertices:
-        if not 1 <= value[v] <= forest.rho(v):
+        if not 1 <= value[v] <= v[0]:
             return False
         left = forest.left_child(v)
         if left is not None and not value[v] <= value[left]:
@@ -205,21 +201,14 @@ def is_valid_labeling(forest: IndexedForest, labeling: Labeling) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _forest_polynomial_cached(forest: IndexedForest) -> Polynomial:
-    terms: dict[Monomial, int] = {}
-    for labeling in valid_labelings(forest):
-        exps = [0] * (max(labeling) if labeling else 0)
-        for val in labeling:
-            exps[val - 1] += 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + 1
-    return Polynomial(terms)
+def _labeling_sum(forest: IndexedForest) -> Polynomial:
+    return sum_of_monomials(map(monomial_of, valid_labelings(forest)))
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def forest_polynomial(forest: IndexedForest) -> Polynomial:
     """Sum over valid labelings of prod_v x_{f(v)}; 1 for the empty forest."""
-    return _forest_polynomial_cached(forest)
+    return _labeling_sum(forest)
 
 
 def render_forest(forest: IndexedForest) -> list[str]:
@@ -227,10 +216,10 @@ def render_forest(forest: IndexedForest) -> list[str]:
     if not forest.vertices:
         return ["(empty forest)"]
     lines: list[str] = []
-
-    def walk(v: Vertex, prefix: str, tag: str) -> None:
-        label = f"(row {v[0]}, #{v[1]}) rho={v[0]}"
-        lines.append(prefix + tag + label)
+    stack = [(root, "", "") for root in reversed(forest.roots())]
+    while stack:
+        v, prefix, tag = stack.pop()
+        lines.append(f"{prefix}{tag}(row {v[0]}, #{v[1]}) rho={v[0]}")
         kids = [
             (t, c)
             for t, c in (("L ", forest.left_child(v)), ("R ", forest.right_child(v)))
@@ -239,12 +228,9 @@ def render_forest(forest: IndexedForest) -> list[str]:
         child_prefix = prefix
         if tag:
             child_prefix = prefix + ("   " if tag.startswith("└") else "│  ")
-        for i, (t, c) in enumerate(kids):
+        for i, (t, c) in reversed(list(enumerate(kids))):
             last = i == len(kids) - 1
-            walk(c, child_prefix, ("└─ " if last else "├─ ") + t)
-
-    for root in forest.roots():
-        walk(root, "", "")
+            stack.append((c, child_prefix, ("└─ " if last else "├─ ") + t))
     return lines
 
 
@@ -264,64 +250,3 @@ def forest_to_json(forest: IndexedForest) -> dict:
             for v in forest.vertices
         ]
     }
-
-
-def forest_from_json(obj: object) -> IndexedForest:
-    """Parse {vertices: [{rho, left, right}]}; the structure must be a
-    genuine binary indexed forest (it is checked against its own code)."""
-    if not isinstance(obj, dict) or "vertices" not in obj:
-        raise ValueError("forest JSON must be an object with a 'vertices' list")
-    entries = obj["vertices"]
-    if not isinstance(entries, list):
-        raise ValueError("'vertices' must be a list")
-    for e in entries:
-        if not isinstance(e, dict) or not {"rho", "left", "right"} <= set(e):
-            raise ValueError(f"bad vertex entry {e!r}")
-        if not isinstance(e["rho"], int) or e["rho"] < 1:
-            raise ValueError(f"bad rho in {e!r}")
-        for key in ("left", "right"):
-            ref = e[key]
-            if ref is not None and (
-                not isinstance(ref, int) or not 0 <= ref < len(entries)
-            ):
-                raise ValueError(f"bad {key} reference in {e!r}")
-
-    # ordinal = 1 + length of the left chain hanging below
-    def ordinal(i: int, seen: frozenset = frozenset()) -> int:
-        if i in seen:
-            raise ValueError("cycle in left references")
-        left = entries[i]["left"]
-        return 1 if left is None else 1 + ordinal(left, seen | {i})
-
-    ids = [(e["rho"], ordinal(i)) for i, e in enumerate(entries)]
-    if len(set(ids)) != len(ids):
-        raise ValueError("vertices do not form disjoint left chains")
-    code_counts: dict[int, int] = {}
-    for rho, _ in ids:
-        code_counts[rho] = code_counts.get(rho, 0) + 1
-    code = trim_zeros(
-        tuple(code_counts.get(i, 0) for i in range(1, max(code_counts) + 1))
-    ) if code_counts else ()
-    canonical = forest_from_code(code)
-    edges = {
-        (ids[i], ids[e["right"]])
-        for i, e in enumerate(entries)
-        if e["right"] is not None
-    }
-    lefts = {
-        (ids[i], ids[e["left"]])
-        for i, e in enumerate(entries)
-        if e["left"] is not None
-    }
-    expected_lefts = {
-        (v, canonical.left_child(v))
-        for v in canonical.vertices
-        if canonical.left_child(v) is not None
-    }
-    if (
-        set(ids) != set(canonical.vertices)
-        or edges != set(canonical.covers)
-        or lefts != expected_lefts
-    ):
-        raise ValueError("structure is not a valid binary indexed forest")
-    return canonical

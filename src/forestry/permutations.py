@@ -20,9 +20,17 @@ from typing import Iterator, Optional
 Permutation = tuple[int, ...]
 LehmerCode = tuple[int, ...]
 
+# Every memo in the package is an LRU cache of this many entries; a
+# 250-permutation working set (one query-mix topic) fits.
+_CACHE_SIZE = 256
+
+# Avoiding 1432 makes order-0 moves reach every pipe dream, which is when
+# the bad-pair search decides the verdict.
+PATTERN_1432: Permutation = (1, 4, 3, 2)
+
 # The six obstructions to a Schubert polynomial being a forest polynomial.
 FORBIDDEN_PATTERNS: tuple[Permutation, ...] = (
-    (1, 4, 3, 2),
+    PATTERN_1432,
     (2, 4, 1, 3),
     (2, 4, 3, 1),
     (1, 4, 5, 2, 3),
@@ -33,12 +41,12 @@ FORBIDDEN_PATTERNS: tuple[Permutation, ...] = (
 __all__ = [
     "Permutation",
     "LehmerCode",
+    "PATTERN_1432",
     "FORBIDDEN_PATTERNS",
     "is_permutation",
     "identity",
     "trim",
     "inverse",
-    "compose",
     "inversions",
     "lehmer_code",
     "trim_zeros",
@@ -74,16 +82,6 @@ def inverse(w: Permutation) -> Permutation:
     for i, v in enumerate(w):
         out[v - 1] = i + 1
     return tuple(out)
-
-
-def compose(u: Permutation, v: Permutation) -> Permutation:
-    """(u o v)(i) = u(v(i)); sizes may differ, fixed points pad the shorter."""
-    n = max(len(u), len(v))
-
-    def app(w: Permutation, i: int) -> int:
-        return w[i - 1] if i <= len(w) else i
-
-    return trim(tuple(app(u, app(v, i)) for i in range(1, n + 1)))
 
 
 def inversions(w: Permutation) -> int:

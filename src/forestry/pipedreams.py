@@ -18,10 +18,17 @@ exhaustively through S_6).
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Optional
+from typing import Optional
 
-from .permutations import Permutation, inversions, lehmer_code, trim
-from .polynomials import Monomial, Polynomial, swap_variables, trim_exponents
+from .permutations import _CACHE_SIZE, Permutation, inversions, lehmer_code, trim
+from .polynomials import (
+    Monomial,
+    Polynomial,
+    monomial_of,
+    sum_of_monomials,
+    swap_variables,
+    trim_exponents,
+)
 
 Cell = tuple[int, int]
 PipeDream = frozenset  # of Cell
@@ -33,6 +40,7 @@ __all__ = [
     "word_of",
     "permutation_of",
     "bottom_pipe_dream",
+    "slide_target",
     "ladder_move",
     "all_pipe_dreams",
     "simple_closure",
@@ -81,7 +89,8 @@ def _move_target(cells, cell: Cell) -> Optional[tuple[int, Cell]]:
     Scanning upward from (r, c): a row with both (r', c), (r', c+1) full
     extends the ladder; the first row with both empty receives the crossing
     (order = r - r' - 1); a mixed row blocks every order.  Hence at most one
-    order applies per cell.
+    order applies per cell.  Order 0 is the simple slide: (r-1, c),
+    (r-1, c+1) and (r, c+1) all empty.
     """
     r, c = cell
     if (r, c + 1) in cells:
@@ -98,6 +107,13 @@ def _move_target(cells, cell: Cell) -> Optional[tuple[int, Cell]]:
     return None
 
 
+def slide_target(cells, cell: Cell) -> Optional[Cell]:
+    """Where the order-0 move sends ``cell`` (one step up its diagonal), or
+    None when that slide is blocked."""
+    found = _move_target(cells, cell)
+    return found[1] if found is not None and found[0] == 0 else None
+
+
 def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
     """Apply the order-k ladder move at ``cell``; None when not applicable."""
     if cell not in cells:
@@ -106,7 +122,8 @@ def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
     if found is None or found[0] != k:
         return None
     moved = (cells - {cell}) | {found[1]}
-    assert permutation_of(moved) == permutation_of(cells), "move broke reducedness"
+    if permutation_of(moved) != permutation_of(cells):
+        raise RuntimeError(f"ladder move at {cell} broke reducedness")
     return frozenset(moved)
 
 
@@ -126,21 +143,17 @@ def _closure(w: Permutation, simple_only: bool) -> frozenset:
                 moved = frozenset((dream - {cell}) | {found[1]})
                 if moved in seen:
                     continue
-                assert len(moved) == n_inv and permutation_of(moved) == w
+                if len(moved) != n_inv or permutation_of(moved) != w:
+                    raise RuntimeError(f"ladder move at {cell} broke reducedness")
                 seen.add(moved)
                 nxt.append(moved)
         frontier = nxt
     return frozenset(seen)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _all_pipe_dreams_cached(w: Permutation) -> frozenset:
     return _closure(w, simple_only=False)
-
-
-@functools.lru_cache(maxsize=None)
-def _simple_closure_cached(w: Permutation) -> frozenset:
-    return _closure(w, simple_only=True)
 
 
 def all_pipe_dreams(w: Permutation) -> frozenset:
@@ -150,28 +163,19 @@ def all_pipe_dreams(w: Permutation) -> frozenset:
 
 def simple_closure(w: Permutation) -> frozenset:
     """Pipe dreams reachable from the bottom one by order-0 moves alone."""
-    return _simple_closure_cached(trim(w))
+    return _closure(w, simple_only=True)
 
 
 def weight(cells) -> Monomial:
     """Exponent of x_r = number of crossings in row r."""
-    if not cells:
-        return ()
-    counts = [0] * max(r for r, _ in cells)
-    for r, _ in cells:
-        counts[r - 1] += 1
-    return trim_exponents(counts)
+    return monomial_of([r for r, _ in cells])
 
 
 def _sum_of_weights(dreams) -> Polynomial:
-    terms: dict[Monomial, int] = {}
-    for dream in dreams:
-        exps = weight(dream)
-        terms[exps] = terms.get(exps, 0) + 1
-    return Polynomial(terms)
+    return sum_of_monomials(map(weight, dreams))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _schubert_cached(w: Permutation) -> Polynomial:
     return _sum_of_weights(_all_pipe_dreams_cached(w))
 
@@ -192,7 +196,8 @@ def divided_difference(p: Polynomial, i: int) -> Polynomial:
     while num:
         lead = max(num, key=lambda e: (exp_i(e), e))
         e_i = exp_i(lead)
-        assert e_i >= 1, "division by x_i - x_{i+1} is not exact"
+        if e_i < 1:
+            raise RuntimeError("division by x_i - x_{i+1} is not exact")
         coeff = num.pop(lead)
         q = lead[: i - 1] + (e_i - 1,) + lead[i:]
         quot[trim_exponents(q)] = coeff

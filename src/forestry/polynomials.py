@@ -14,11 +14,19 @@ Coefficients are arbitrary-precision ints; no zero coefficient is stored.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Union
+from collections import Counter
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
 
-__all__ = ["Monomial", "Polynomial", "trim_exponents", "swap_variables"]
+__all__ = [
+    "Monomial",
+    "Polynomial",
+    "trim_exponents",
+    "monomial_of",
+    "sum_of_monomials",
+    "swap_variables",
+]
 
 
 def trim_exponents(exps: Iterable[int]) -> Monomial:
@@ -27,6 +35,17 @@ def trim_exponents(exps: Iterable[int]) -> Monomial:
     while n > 0 and t[n - 1] == 0:
         n -= 1
     return t[:n]
+
+
+def monomial_of(indices: Sequence[int]) -> Monomial:
+    """Exponents of x_{i_1} * x_{i_2} * ... for 1-based indices i_k: entry
+    j - 1 counts the k with i_k = j.  Already trimmed."""
+    if not indices:
+        return ()
+    exps = [0] * max(indices)
+    for i in indices:
+        exps[i - 1] += 1
+    return tuple(exps)
 
 
 def _merge(exps: Monomial, other: Monomial) -> Monomial:
@@ -194,14 +213,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial<{self}>"
 
-    def pretty(self) -> str:
-        """Subscripted rendering: coefficients first, factors space-joined."""
-        return (
-            str(self)
-            .replace("*", " ")
-            .replace("x", "x_")
-        )
-
     def to_json_obj(self) -> list[dict]:
         return [
             {"coeff": coeff, "exps": list(exps)} for exps, coeff in self.items()
@@ -240,6 +251,11 @@ def _raw(terms: dict[Monomial, int]) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p._terms = terms
     return p
+
+
+def sum_of_monomials(monomials: Iterable[Monomial]) -> Polynomial:
+    """Sum of trimmed monomials, each with coefficient 1 (a weight sum)."""
+    return _raw(dict(Counter(monomials)))
 
 
 def swap_variables(p: Polynomial, i: int) -> Polynomial:

@@ -1,7 +1,7 @@
 import json
 
 from forestry.cli import main
-from forestry.forests import forest_from_code, forest_from_json
+from forestry.forests import forest_from_code, forest_to_json
 from forestry.pipedreams import schubert
 from forestry.polynomials import Polynomial
 
@@ -92,12 +92,19 @@ def test_forest_rejects_bad_code(capsys):
     assert run(capsys, "forest", "--code", "1,-2")[0] == 1
 
 
+def test_forest_deep_code(capsys):
+    code, out, err = run(capsys, "forest", "--code", ",".join(["1"] * 1100))
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[0] == "*".join(f"x{i}" for i in range(1, 1101))
+
+
 def test_forest_json(capsys):
     code, out, _ = run(capsys, "forest", "--code", "2,1,1,0,1,0,0,1", "--json")
     assert code == 0
     obj = json.loads(out)
     poly = obj.pop("polynomial")
-    assert forest_from_json(obj) is forest_from_code((2, 1, 1, 0, 1, 0, 0, 1))
+    assert obj == forest_to_json(forest_from_code((2, 1, 1, 0, 1, 0, 0, 1)))
     assert sum(term["coeff"] for term in poly) == 32
 
 

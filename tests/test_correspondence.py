@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forestry import correspondence
 from forestry.correspondence import (
     covering_relation,
     find_bad_pair,
@@ -180,16 +181,6 @@ def test_replay_rejects_blocked_moves():
         replay_simple_moves((4, 1, 3, 2), ((1, 1),))
 
 
-def test_equal_row_variant_agrees():
-    for n in range(1, 6):
-        for w in all_permutations(n):
-            if contains_pattern(w, (1, 4, 3, 2)):
-                continue
-            lenient = find_bad_pair(w)
-            strict = find_bad_pair(w, require_equal_row=True)
-            assert (lenient is None) == (strict is None)
-
-
 def test_bad_pair_exists_iff_expansion_differs():
     # over 1432-avoiders the simple closure is everything, so a bad pair
     # is exactly what breaks the labeling correspondence
@@ -240,8 +231,10 @@ def test_verify_counts_badpair_checks():
     assert report.badpair_checked == 23
 
 
-def test_verify_parallel_merge_matches_serial():
+def test_verify_parallel_merge_matches_serial(monkeypatch):
     serial = verify_theorem(4)
+    # S_4 is one chunk of the default size, which would run serially
+    monkeypatch.setattr(correspondence, "_CHUNK_SIZE", 5)
     parallel = verify_theorem(4, jobs=2)
     for field in (
         "n",
@@ -253,6 +246,19 @@ def test_verify_parallel_merge_matches_serial():
         "badpair_disagreements",
     ):
         assert getattr(serial, field) == getattr(parallel, field)
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(correspondence.os, "cpu_count", lambda: 2)
+    assert correspondence._worker_count(5000, 6) == 2
+    assert correspondence._worker_count(5000, 1) == 1
+    assert correspondence._worker_count(2, 6) == 2
+    assert correspondence._worker_count(1, 10**6) == 1
+    monkeypatch.setattr(correspondence.os, "cpu_count", lambda: 64)
+    assert correspondence._worker_count(5000, 6) == 6
+    assert correspondence._worker_count(10**9, 10**9) == 64
+    monkeypatch.setattr(correspondence.os, "cpu_count", lambda: None)
+    assert correspondence._worker_count(5000, 6) == 1
 
 
 def test_verify_progress_callback():

@@ -1,12 +1,9 @@
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from forestry.forests import (
     code_of_forest,
     forest_from_code,
-    forest_from_json,
     forest_polynomial,
     forest_to_json,
     is_valid_labeling,
@@ -43,7 +40,6 @@ def subtree(forest, v):
 def test_vertices_census():
     forest = forest_from_code((2, 1, 0, 0, 1))
     assert forest.vertices == ((1, 1), (1, 2), (2, 1), (5, 1))
-    assert forest.rho((5, 1)) == 5
 
 
 def test_left_chain_structure():
@@ -262,22 +258,18 @@ def test_forest_json_fixture():
             {"rho": 3, "left": None, "right": None},
         ]
     }
-    assert forest_from_json(json.loads(json.dumps(obj))) is forest
 
 
-@given(codes())
-def test_forest_json_round_trip(code):
-    forest = forest_from_code(code)
-    assert forest_from_json(forest_to_json(forest)) is forest
+# --- deep codes --------------------------------------------------------------------
 
 
-def test_forest_from_json_rejects_corrupt_input():
-    good = forest_to_json(forest_from_code((1, 1)))
-    for breakage in [
-        {},
-        {"vertices": [{"rho": 0, "left": None, "right": None}]},
-        {"vertices": [{"rho": 1, "left": 5, "right": None}]},
-        {"vertices": good["vertices"] + [{"rho": 1, "left": None, "right": None}]},
-    ]:
-        with pytest.raises(ValueError):
-            forest_from_json(breakage)
+def test_deep_right_comb_needs_no_recursion():
+    # code (1, 1, ..., 1) is a right comb 1200 vertices deep with exactly one
+    # labeling, f = rho; building, labeling and drawing it must not recurse
+    forest = forest_from_code((1,) * 1200)
+    assert len(forest.covers) == 1199
+    assert valid_labelings(forest) == (tuple(range(1, 1201)),)
+    assert forest_polynomial(forest) == Polynomial.monomial((1,) * 1200)
+    lines = render_forest(forest)
+    assert len(lines) == 1200
+    assert lines[-1].endswith("└─ R (row 1200, #1) rho=1200")

@@ -98,11 +98,6 @@ def test_str_canonical_order():
     assert str(x(1) * x(2) + 5) == "x1*x2 + 5"
 
 
-def test_pretty_uses_subscript_notation():
-    p = x(1) ** 2 * x(3)
-    assert p.pretty() == "x_1^2 x_3"
-
-
 def test_items_descending_lex():
     p = x(1) ** 3 * x(3) + x(1) ** 3 * x(2) + x(2) ** 4
     assert [m for m, _ in p.items()] == [(3, 1), (3, 0, 1), (0, 4)]

@@ -1,0 +1,57 @@
+"""Properties of the package as a whole: invariants that survive
+``python -O`` and a command line that ends without a traceback."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli(*argv, optimize=False, **popen):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    flags = ["-O"] if optimize else []
+    return subprocess.Popen(
+        [sys.executable, *flags, "-m", "forestry.cli", *argv], env=env, **popen
+    )
+
+
+def test_no_bare_assert_in_the_library():
+    # -O strips assert statements, so no invariant may rest on one
+    for path in sorted((SRC / "forestry").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert found == [], f"{path.name}: assert at lines {found}"
+
+
+def test_verify_report_is_the_same_under_optimize():
+    reports = []
+    for optimize in (False, True):
+        proc = cli(
+            "verify", "5", "--jobs", "1", "--json",
+            optimize=optimize, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        report = json.loads(out)
+        report.pop("elapsed_ms")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_closed_stdout_exits_quietly():
+    # 2527 dreams, about 180 kB: more than a pipe holds, so the writer is
+    # still busy when the reader goes away after one line
+    proc = cli("pipedreams", "15387642", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first == b"2527 pipe dreams for 15387642\n"
+    assert b"Traceback" not in err
+    assert err == b""
