@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: schubert, forest, check, pipedreams, verify.  Exit codes:
-0 success / verdicts agree, 1 usage or parse errors or a reader that closed
-stdout early, 2 a verdict split (the pattern test and the polynomial test
-disagreeing) or an oracle mismatch.  ``--json`` keeps stdout
-machine-parseable; progress chatter for long verification runs goes to
-stderr.
+0 success / verdicts agree, 1 usage or parse errors, a reader that closed
+stdout early or a ``verify`` worker process that died, 2 a verdict split
+(the pattern test and the polynomial test disagreeing) or an oracle
+mismatch.  ``--json`` keeps stdout machine-parseable; progress chatter for
+long verification runs goes to stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
 
 from .correspondence import (
@@ -294,7 +295,14 @@ def _cmd_verify(args) -> int:
     def progress(done: int, total: int) -> None:
         print(f"checked {done}/{total} permutations", file=sys.stderr, flush=True)
 
-    report = verify_theorem(args.n, jobs=jobs, progress=progress)
+    try:
+        report = verify_theorem(args.n, jobs=jobs, progress=progress)
+    except BrokenProcessPool:
+        print(
+            "forestry: error: a worker process died before verify finished",
+            file=sys.stderr,
+        )
+        return 1
     trouble = report.disagreements or report.badpair_disagreements
     if args.json:
         print(json.dumps(report.to_json_obj()))

@@ -15,11 +15,17 @@ that identification:
   obstruction that makes a Schubert polynomial fail to be a forest
   polynomial;
 - ``verify_theorem`` checks, over all of S_n, that the pattern test and the
-  polynomial-equality test give the same verdict.
+  polynomial-equality test give the same verdict.  In bulk it gets each
+  Schubert polynomial from a neighbour by one divided difference instead of
+  a pipe-dream closure, and each pattern verdict from the avoiders of
+  S_(n-1).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import os
 import time
 from collections import deque
@@ -36,20 +42,22 @@ from .forests import (
     is_valid_labeling,
 )
 from .permutations import (
+    FORBIDDEN_PATTERNS,
     PATTERN_1432,
     Permutation,
-    all_permutations,
+    avoider_set,
+    avoids_by_deletions,
     avoids_forbidden,
-    contains_pattern,
     lehmer_code,
     trim,
+    trim_zeros,
 )
 from .pipedreams import (
     Cell,
     PipeDream,
-    _closure,
-    _sum_of_weights,
+    divided_difference,
     schubert,
+    schubert_divdiff,
     slide_target,
 )
 
@@ -190,62 +198,105 @@ class VerifyReport:
         }
 
 
-def _verify_batch(perms: tuple[Permutation, ...]) -> dict:
-    # bulk path: the unmemoized closure and labeling sum, so a run over S_n
-    # fills no cache
-    out = {
+def _tallies() -> dict:
+    """A unit's counts before it has seen any permutation: the tally
+    fields of VerifyReport at their defaults."""
+    return {
         f.name: f.default
         for f in fields(VerifyReport)
         if f.name not in ("n", "elapsed_ms")
     }
-    for w in perms:
-        w = trim(w)
-        by_pattern = is_forest_by_pattern(w)
-        poly = _sum_of_weights(_closure(w, simple_only=False))
-        by_expansion = poly == _labeling_sum(forest_from_code(lehmer_code(w)))
+
+
+def _units(n: int) -> list[Permutation]:
+    """The work units of a run over S_n, in lexicographic order: each is a
+    prefix, the first two values (the first one when n = 1), and stands for
+    the permutations that start with it."""
+    return list(itertools.permutations(range(1, n + 1), min(n, 2)))
+
+
+def _first_ascent(w: Permutation) -> Optional[int]:
+    """The least i >= 3 with w(i) < w(i+1), or None."""
+    return next((i for i in range(3, len(w)) if w[i - 1] < w[i]), None)
+
+
+def _sweep(prefix: Permutation, n: int):
+    """Yield (w, trimmed Lehmer code of w, Schubert polynomial of w) for
+    every w in S_n (untrimmed) that starts with ``prefix``.
+
+    The top of the unit, the prefix followed by the other values in
+    decreasing order, comes from ``schubert_divdiff``.  Every other w has a
+    first ascent i >= 3 and its polynomial is the divided difference d_i of
+    the polynomial of w s_i, which has one inversion more and the same
+    prefix; so a depth-first walk down from the top reaches each w once.
+    """
+    rest = sorted(set(range(1, n + 1)) - set(prefix), reverse=True)
+    top = tuple(prefix) + tuple(rest)
+    stack = [(top, schubert_divdiff(top))]
+    while stack:
+        u, poly = stack.pop()
+        code = trim_zeros(lehmer_code(u))
+        if (
+            not poly
+            or poly.leading_monomial() != code
+            or poly.coefficient(code) != 1
+        ):
+            raise RuntimeError(f"divided-difference sweep went wrong at {u}")
+        yield u, code, poly
+        for i in range(3, n):
+            if u[i - 1] > u[i]:
+                w = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+                if _first_ascent(w) == i:
+                    stack.append((w, divided_difference(poly, i)))
+
+
+def _verify_unit(
+    prefix: Permutation, n: int, tables: tuple[frozenset, frozenset]
+) -> dict:
+    """Counts and disagreements over the permutations starting with
+    ``prefix``; ``tables`` holds the avoiders of S_(n-1) of the six
+    patterns and of 1432."""
+    forest_avoiders, avoiders_1432 = tables
+    out = _tallies()
+    disagreements, badpair_disagreements = [], []
+    for u, code, poly in _sweep(prefix, n):
+        w = trim(u)
+        by_pattern = avoids_by_deletions(u, FORBIDDEN_PATTERNS, forest_avoiders)
+        by_expansion = poly == _labeling_sum(forest_from_code(code))
         out["total"] += 1
         out["pattern_positive"] += by_pattern
         out["expansion_positive"] += by_expansion
         if by_pattern != by_expansion:
-            out["disagreements"] += (
+            disagreements.append(
                 {
                     "permutation": list(w),
                     "pattern": by_pattern,
                     "expansion": by_expansion,
-                },
+                }
             )
-        if not contains_pattern(w, PATTERN_1432):
+        # 1432 is one of the six, so avoiding them all avoids it
+        if by_pattern or avoids_by_deletions(u, (PATTERN_1432,), avoiders_1432):
             out["badpair_checked"] += 1
             bad = find_bad_pair(w) is not None
             if bad == by_expansion:  # a bad pair must appear iff expansion fails
-                out["badpair_disagreements"] += (
+                badpair_disagreements.append(
                     {
                         "permutation": list(w),
                         "bad_pair_found": bad,
                         "expansion_equal": by_expansion,
-                    },
+                    }
                 )
+    # the sweep is depth-first; reports list permutations lexicographically
+    by_perm = operator.itemgetter("permutation")
+    out["disagreements"] = tuple(sorted(disagreements, key=by_perm))
+    out["badpair_disagreements"] = tuple(sorted(badpair_disagreements, key=by_perm))
     return out
 
 
-_CHUNK_SIZE = 1000
-
-
-def _chunks(n: int, size: int):
-    batch: list[Permutation] = []
-    for w in all_permutations(n):
-        batch.append(w)
-        if len(batch) == size:
-            yield tuple(batch)
-            batch = []
-    if batch:
-        yield tuple(batch)
-
-
-def _worker_count(jobs: int, chunks: int) -> int:
+def _worker_count(jobs: int, units: int) -> int:
     """Processes worth starting: no more than asked for, than there are
-    chunks to hand out, or than there are CPUs."""
-    return max(1, min(jobs, chunks, os.cpu_count() or 1))
+    units to hand out, or than there are CPUs."""
+    return max(1, min(jobs, units, os.cpu_count() or 1))
 
 
 def verify_theorem(
@@ -256,31 +307,38 @@ def verify_theorem(
     """Exhaustively compare the pattern test against the polynomial test on
     S_n, cross-checking bad-pair detection on the 1432-avoiding part.
 
-    Runs in lexicographic chunks of 1000 (optionally fanned out over up to
-    ``jobs`` processes, merged in order); ``progress(done, total)`` fires
-    after each chunk.
+    Runs unit by unit, one unit per pair of first values, in lexicographic
+    order (optionally fanned out over up to ``jobs`` processes, merged in
+    order); ``progress(done, total)`` fires after each unit.  Schubert
+    polynomials come from the divided-difference sweep and pattern verdicts
+    from the avoiders of S_(n-1), both built once per run.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     started = time.monotonic()
-    total = 1
-    for i in range(2, n + 1):
-        total *= i
-    merged = _verify_batch(())
+    total = math.factorial(n)
+    tables = (
+        avoider_set(FORBIDDEN_PATTERNS, n - 1),
+        avoider_set((PATTERN_1432,), n - 1),
+    )
+    merged = _tallies()
 
-    def absorb(batch_result: dict) -> None:
-        for key, value in batch_result.items():
+    def absorb(unit_result: dict) -> None:
+        for key, value in unit_result.items():
             merged[key] += value
         if progress is not None:
             progress(merged["total"], total)
 
-    jobs = _worker_count(jobs, (total + _CHUNK_SIZE - 1) // _CHUNK_SIZE)
+    units = _units(n)
+    jobs = _worker_count(jobs, len(units))
     if jobs == 1:
-        for chunk in _chunks(n, _CHUNK_SIZE):
-            absorb(_verify_batch(chunk))
+        for prefix in units:
+            absorb(_verify_unit(prefix, n, tables))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_verify_batch, _chunks(n, _CHUNK_SIZE)):
+            for result in pool.map(
+                _verify_unit, units, itertools.repeat(n), itertools.repeat(tables)
+            ):
                 absorb(result)
 
     return VerifyReport(

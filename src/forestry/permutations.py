@@ -54,6 +54,8 @@ __all__ = [
     "contains_pattern",
     "pattern_witness",
     "avoids_forbidden",
+    "avoids_by_deletions",
+    "avoider_set",
     "insert",
     "all_permutations",
     "parse_permutation",
@@ -179,6 +181,36 @@ def insert(w: Permutation, i: int, k: int) -> Permutation:
         raise ValueError(f"value {k} out of range 1..{n + 1}")
     bumped = [v + 1 if v >= k else v for v in w]
     return tuple(bumped[: i - 1] + [k] + bumped[i - 1 :])
+
+
+def _deletions(w: Permutation) -> Iterator[Permutation]:
+    """The standardized one-point deletions of w, position by position."""
+    for j, v in enumerate(w):
+        yield tuple(u - (u > v) for u in w[:j] + w[j + 1 :])
+
+
+def avoids_by_deletions(w: Permutation, patterns, smaller: frozenset) -> bool:
+    """Does w avoid every pattern, given ``smaller``, the avoiders of size
+    len(w) - 1?  An occurrence of a shorter pattern survives some one-point
+    deletion, so w avoids the set exactly when it is none of the patterns
+    and each of its deletions lies in ``smaller``."""
+    return w not in patterns and all(d in smaller for d in _deletions(w))
+
+
+def avoider_set(patterns, n: int) -> frozenset:
+    """The permutations of S_n (untrimmed) that avoid every pattern, built
+    up from S_0 by ``avoids_by_deletions``; the candidates of size k are
+    the avoiders of size k - 1 with one more last value."""
+    patterns = frozenset(patterns)
+    level = frozenset({()})
+    for k in range(1, n + 1):
+        level = frozenset(
+            w
+            for v in level
+            for w in (insert(v, k, last) for last in range(1, k + 1))
+            if avoids_by_deletions(w, patterns, level)
+        )
+    return level
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

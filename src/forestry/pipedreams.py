@@ -24,10 +24,9 @@ from .permutations import _CACHE_SIZE, Permutation, inversions, lehmer_code, tri
 from .polynomials import (
     Monomial,
     Polynomial,
+    divided_difference,
     monomial_of,
     sum_of_monomials,
-    swap_variables,
-    trim_exponents,
 )
 
 Cell = tuple[int, int]
@@ -183,35 +182,6 @@ def _schubert_cached(w: Permutation) -> Polynomial:
 def schubert(w: Permutation) -> Polynomial:
     """Schubert polynomial of w: the weight sum over all_pipe_dreams(w)."""
     return _schubert_cached(trim(w))
-
-
-def divided_difference(p: Polynomial, i: int) -> Polynomial:
-    """(p - p with x_i, x_{i+1} swapped) / (x_i - x_{i+1}), exactly."""
-    num = {exps: coeff for exps, coeff in (p - swap_variables(p, i)).items()}
-    quot: dict[Monomial, int] = {}
-
-    def exp_i(exps: Monomial) -> int:
-        return exps[i - 1] if len(exps) >= i else 0
-
-    while num:
-        lead = max(num, key=lambda e: (exp_i(e), e))
-        e_i = exp_i(lead)
-        if e_i < 1:
-            raise RuntimeError("division by x_i - x_{i+1} is not exact")
-        coeff = num.pop(lead)
-        q = lead[: i - 1] + (e_i - 1,) + lead[i:]
-        quot[trim_exponents(q)] = coeff
-        # subtract coeff * x^q * (x_i - x_{i+1}) from the remainder;
-        # the x_i part cancels the lead term just popped
-        shifted = list(q) + [0] * max(0, i + 1 - len(q))
-        shifted[i] += 1
-        key = trim_exponents(shifted)
-        new = num.get(key, 0) + coeff
-        if new:
-            num[key] = new
-        else:
-            num.pop(key, None)
-    return Polynomial(quot)
 
 
 def _descent_word(u: Permutation) -> tuple[int, ...]:

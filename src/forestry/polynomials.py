@@ -26,6 +26,7 @@ __all__ = [
     "monomial_of",
     "sum_of_monomials",
     "swap_variables",
+    "divided_difference",
 ]
 
 
@@ -267,4 +268,34 @@ def swap_variables(p: Polynomial, i: int) -> Polynomial:
         padded = list(exps) + [0] * max(0, i + 1 - len(exps))
         padded[i - 1], padded[i] = padded[i], padded[i - 1]
         terms[trim_exponents(padded)] = coeff
+    return _raw(terms)
+
+
+def divided_difference(p: Polynomial, i: int) -> Polynomial:
+    """(p - p with x_i, x_{i+1} swapped) / (x_i - x_{i+1}), exactly, term by
+    term: for a > b, x_i^a x_{i+1}^b maps to the sum over k < a - b of
+    x_i^(a-1-k) x_{i+1}^(b+k); equal exponents map to 0; a < b is the
+    negated sum with a and b exchanged."""
+    if i < 1:
+        raise ValueError("variables are numbered from 1")
+    terms: dict[Monomial, int] = {}
+    for exps, coeff in p._terms.items():
+        if len(exps) < i:
+            continue  # x_i and x_{i+1} both absent: symmetric term
+        a = exps[i - 1]
+        b = exps[i] if len(exps) > i else 0
+        if a == b:
+            continue
+        if a < b:
+            a, b, coeff = b, a, -coeff
+        head, tail = exps[: i - 1], exps[i + 1 :]
+        for k in range(a - b):
+            key = head + (a - 1 - k, b + k) + tail
+            if not tail and b + k == 0:
+                key = trim_exponents(key)
+            new = terms.get(key, 0) + coeff
+            if new:
+                terms[key] = new
+            else:
+                del terms[key]
     return _raw(terms)

@@ -1,5 +1,7 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
+from forestry import cli
 from forestry.cli import main
 from forestry.forests import forest_from_code, forest_to_json
 from forestry.pipedreams import schubert
@@ -230,6 +232,18 @@ def test_verify_range_checks(capsys):
     assert run(capsys, "verify", "4", "--max-n", "3")[0] == 1
     assert run(capsys, "verify", "4", "--max-n", "4")[0] == 0
     assert run(capsys, "verify", "2", "--jobs", "0")[0] == 1
+
+
+def test_verify_worker_crash_exits_1(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr(cli, "verify_theorem", crash)
+    code, out, err = run(capsys, "verify", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("forestry: error: ")
+    assert "Traceback" not in err
 
 
 def test_verify_env_cap(capsys, monkeypatch):

@@ -25,6 +25,7 @@ from forestry.permutations import (
 from forestry.pipedreams import (
     all_pipe_dreams,
     ladder_move,
+    schubert,
     simple_closure,
     weight,
 )
@@ -210,6 +211,37 @@ def test_verdicts_on_the_subtle_case():
     assert not is_forest_by_expansion(w)
 
 
+# --- divided-difference sweep -------------------------------------------------
+
+
+def check_sweep(n):
+    swept = [
+        (w, poly)
+        for prefix in correspondence._units(n)
+        for w, _, poly in correspondence._sweep(prefix, n)
+    ]
+    assert sorted(w for w, _ in swept) == list(all_permutations(n))
+    for w, poly in swept:
+        assert poly == schubert(w), w
+
+
+def test_sweep_matches_pipe_dreams():
+    for n in range(1, 7):
+        check_sweep(n)
+
+
+@pytest.mark.extended
+def test_sweep_matches_pipe_dreams_s7():
+    check_sweep(7)
+
+
+def test_sweep_checks_leading_terms(monkeypatch):
+    # a wrong divided difference must stop the run, not pass silently
+    monkeypatch.setattr(correspondence, "divided_difference", lambda p, i: p)
+    with pytest.raises(RuntimeError):
+        list(correspondence._sweep((1, 2), 4))
+
+
 # --- exhaustive verification ----------------------------------------------------
 
 
@@ -231,21 +263,33 @@ def test_verify_counts_badpair_checks():
     assert report.badpair_checked == 23
 
 
+REPORT_FIELDS = (
+    "n",
+    "total",
+    "pattern_positive",
+    "expansion_positive",
+    "disagreements",
+    "badpair_checked",
+    "badpair_disagreements",
+)
+
+
 def test_verify_parallel_merge_matches_serial(monkeypatch):
+    # S_4 has 12 units, so jobs=2 starts a pool
     serial = verify_theorem(4)
-    # S_4 is one chunk of the default size, which would run serially
-    monkeypatch.setattr(correspondence, "_CHUNK_SIZE", 5)
     parallel = verify_theorem(4, jobs=2)
-    for field in (
-        "n",
-        "total",
-        "pattern_positive",
-        "expansion_positive",
-        "disagreements",
-        "badpair_checked",
-        "badpair_disagreements",
-    ):
+    for field in REPORT_FIELDS:
         assert getattr(serial, field) == getattr(parallel, field)
+    # with no avoiders at all every pattern verdict is negative, so each
+    # expansion-positive permutation becomes a disagreement
+    monkeypatch.setattr(correspondence, "avoider_set", lambda patterns, n: frozenset())
+    serial = verify_theorem(4)
+    parallel = verify_theorem(4, jobs=2)
+    for field in REPORT_FIELDS:
+        assert getattr(serial, field) == getattr(parallel, field)
+    split = [entry["permutation"] for entry in serial.disagreements]
+    assert len(split) == 21
+    assert split == sorted(split)
 
 
 def test_worker_count_is_clamped(monkeypatch):
@@ -259,6 +303,19 @@ def test_worker_count_is_clamped(monkeypatch):
     assert correspondence._worker_count(10**9, 10**9) == 64
     monkeypatch.setattr(correspondence.os, "cpu_count", lambda: None)
     assert correspondence._worker_count(5000, 6) == 1
+
+
+@pytest.mark.extended
+def test_verify_s8():
+    report = verify_theorem(8)
+    assert (
+        report.total,
+        report.pattern_positive,
+        report.expansion_positive,
+        report.badpair_checked,
+    ) == (40320, 3466, 3466, 15767)
+    assert report.disagreements == ()
+    assert report.badpair_disagreements == ()
 
 
 def test_verify_progress_callback():

@@ -3,7 +3,10 @@ from hypothesis import given, strategies as st
 
 from forestry.permutations import (
     FORBIDDEN_PATTERNS,
+    PATTERN_1432,
     all_permutations,
+    avoider_set,
+    avoids_by_deletions,
     avoids_forbidden,
     contains_pattern,
     format_permutation,
@@ -165,6 +168,27 @@ def test_avoids_forbidden_fixtures():
     assert not avoids_forbidden((2, 4, 5, 1, 3))
     assert not avoids_forbidden((1, 4, 6, 2, 3, 5))
     assert not avoids_forbidden((3, 2, 1, 4, 6, 5))
+
+
+def test_avoider_sets_match_the_pattern_search():
+    # the backtracking search is the reference for the deletion rule
+    for n in range(1, 8):
+        forest = avoider_set(FORBIDDEN_PATTERNS, n)
+        no_1432 = avoider_set((PATTERN_1432,), n)
+        for w in all_permutations(n):
+            assert (w in forest) == avoids_forbidden(w)
+            assert (w in no_1432) == (not contains_pattern(w, PATTERN_1432))
+
+
+def test_avoids_by_deletions_fixtures():
+    assert avoider_set(FORBIDDEN_PATTERNS, 0) == frozenset({()})
+    size3 = avoider_set(FORBIDDEN_PATTERNS, 3)
+    size4 = avoider_set(FORBIDDEN_PATTERNS, 4)
+    assert avoids_by_deletions((4, 1, 3, 2), FORBIDDEN_PATTERNS, size3)
+    # 2413 is one of the patterns, though each of its deletions is clean
+    assert not avoids_by_deletions((2, 4, 1, 3), FORBIDDEN_PATTERNS, size3)
+    # 24513 is not a pattern, but deleting its 5 leaves 2413
+    assert not avoids_by_deletions((2, 4, 5, 1, 3), FORBIDDEN_PATTERNS, size4)
 
 
 # --- insertion ---------------------------------------------------------------

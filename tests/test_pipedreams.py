@@ -16,7 +16,7 @@ from forestry.pipedreams import (
     weight,
     word_of,
 )
-from forestry.polynomials import Polynomial
+from forestry.polynomials import Polynomial, swap_variables
 
 x = Polynomial.variable
 
@@ -202,6 +202,17 @@ def test_divided_difference_fixtures():
 @given(small_polys(), st.integers(1, 3))
 def test_divided_difference_squares_to_zero(p, i):
     assert divided_difference(divided_difference(p, i), i) == 0
+
+
+@given(small_polys(), st.integers(1, 3))
+def test_divided_difference_is_exact_division(p, i):
+    quotient = divided_difference(p, i)
+    assert (x(i) - x(i + 1)) * quotient == p - swap_variables(p, i)
+
+
+def test_divided_difference_rejects_index_zero():
+    with pytest.raises(ValueError):
+        divided_difference(x(1), 0)
 
 
 @given(small_polys(), st.integers(1, 2))
