@@ -55,10 +55,11 @@ from .permutations import (
 from .pipedreams import (
     Cell,
     PipeDream,
+    _mask,
+    _slide,
     divided_difference,
     schubert,
     schubert_divdiff,
-    slide_target,
 )
 
 __all__ = [
@@ -116,16 +117,16 @@ def replay_simple_moves(w: Permutation, moves) -> dict[Vertex, Cell]:
     """Slide the named crossings of the bottom pipe dream one step each, in
     order; returns the final id -> cell placement.  Raises ValueError when a
     slide is blocked."""
-    ids = forest_from_code(lehmer_code(trim(w))).vertices
+    w = trim(w)
+    width = len(w)
+    ids = forest_from_code(lehmer_code(w)).vertices
     pos: dict[Vertex, Cell] = {v: v for v in ids}
-    cells: set[Cell] = set(ids)
+    occupied = _mask(ids, width)
     for moved in moves:
-        target = slide_target(cells, pos[moved])
-        if target is None:
+        slid = _slide(occupied, width, pos[moved])
+        if slid is None:
             raise ValueError(f"simple move of {moved} not applicable at {pos[moved]}")
-        cells.remove(pos[moved])
-        cells.add(target)
-        pos[moved] = target
+        pos[moved], occupied = slid
     return pos
 
 
@@ -138,10 +139,11 @@ def find_bad_pair(w: Permutation) -> Optional[BadPair]:
     slot = {v: i for i, v in enumerate(ids)}
     pairs = [(slot[p], slot[c]) for p, c in forest.covers]
     start = tuple(ids)
+    width = len(w)
     prev: dict[tuple, Optional[tuple]] = {start: None}
-    queue = deque([start])
+    queue = deque([(start, _mask(start, width))])
     while queue:
-        state = queue.popleft()
+        state, occupied = queue.popleft()
         found = next(
             ((pi, ci) for pi, ci in pairs if state[ci][0] <= state[pi][0]), None
         )
@@ -153,14 +155,14 @@ def find_bad_pair(w: Permutation) -> Optional[BadPair]:
                 moves.append(ids[idx])
             moves.reverse()
             return BadPair(parent=ids[found[0]], child=ids[found[1]], moves=tuple(moves))
-        occupied = set(state)
         for idx, cell in enumerate(state):
-            target = slide_target(occupied, cell)
-            if target is not None:
+            slid = _slide(occupied, width, cell)
+            if slid is not None:
+                target, moved = slid
                 nxt = state[:idx] + (target,) + state[idx + 1 :]
                 if nxt not in prev:
                     prev[nxt] = (state, idx)
-                    queue.append(nxt)
+                    queue.append((nxt, moved))
     return None
 
 

@@ -21,7 +21,8 @@ Permutation = tuple[int, ...]
 LehmerCode = tuple[int, ...]
 
 # Every memo in the package is an LRU cache of this many entries; a
-# 250-permutation working set (one query-mix topic) fits.
+# 250-permutation working set (one query-mix topic) fits.  The pipe-dream
+# memo keeps a permutation's dreams and its Schubert polynomial in one entry.
 _CACHE_SIZE = 256
 
 # Avoiding 1432 makes order-0 moves reach every pipe dream, which is when
@@ -129,7 +130,10 @@ def perm_from_code(code: LehmerCode) -> Permutation:
     return tuple(out)
 
 
-def _witness_search(w: Permutation, p: Permutation) -> Optional[tuple[int, ...]]:
+def pattern_witness(w: Permutation, p: Permutation) -> Optional[tuple[int, ...]]:
+    """Lexicographically first 1-based index tuple where p occurs in w, else
+    None.  Both words are searched as given, trailing fixed points included:
+    (1, 2) does not occur in (2, 1), and the empty pattern occurs in every w."""
     n, k = len(w), len(p)
     chosen: list[int] = []
 
@@ -149,16 +153,6 @@ def _witness_search(w: Permutation, p: Permutation) -> Optional[tuple[int, ...]]
     if extend(0):
         return tuple(j + 1 for j in chosen)
     return None
-
-
-def pattern_witness(w: Permutation, p: Permutation) -> Optional[tuple[int, ...]]:
-    """Lexicographically first 1-based index tuple where p occurs in w, else None."""
-    w, p = trim(w), trim(p)
-    if not p:
-        return ()
-    if len(p) > len(w):
-        return None
-    return _witness_search(w, p)
 
 
 def contains_pattern(w: Permutation, p: Permutation) -> bool:

@@ -13,20 +13,28 @@ by ladder moves; ``all_pipe_dreams`` takes the closure under moves of every
 order, ``simple_closure`` under order-0 moves only.  The two closures agree
 exactly when w avoids the pattern 1432 (a property the test suite checks
 exhaustively through S_6).
+
+Inside this module a dream is also one int, a mask: cell (r, c) is bit
+(r - 1) * W + (c - 1) for a width W above every column, W = len(w) in a
+closure.  ``_move_target`` finds ladder moves on masks, ``_replay`` reads
+a mask's word back to its permutation, and the closure certifies every
+dream it finds by that replay.  One cache entry per permutation holds its
+dreams and its Schubert polynomial.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from typing import Optional
 
-from .permutations import _CACHE_SIZE, Permutation, inversions, lehmer_code, trim
+from .permutations import _CACHE_SIZE, Permutation, lehmer_code, trim
 from .polynomials import (
     Monomial,
     Polynomial,
+    _raw,
     divided_difference,
     monomial_of,
-    sum_of_monomials,
 )
 
 Cell = tuple[int, int]
@@ -62,17 +70,48 @@ def word_of(cells) -> tuple[int, ...]:
     )
 
 
+def _bit(cell: Cell, width: int) -> int:
+    return 1 << ((cell[0] - 1) * width + cell[1] - 1)
+
+
+def _mask(cells, width: int) -> int:
+    """Cells as one int: (r, c) is bit (r - 1) * width + (c - 1).  Every
+    column must be below ``width``, so column ``width`` of each row stays
+    empty and a shift by one bit never carries a cell into the next row."""
+    d = 0
+    for cell in cells:
+        d |= _bit(cell, width)
+    return d
+
+
+def _replay(d: int, width: int, size: int) -> Optional[Permutation]:
+    """Read the dream of mask ``d`` row by row top to bottom, right to left
+    within a row, applying each s_a to 1..size as a right multiplication;
+    the trimmed result, or None when a step would cancel an inversion."""
+    line = list(range(1, size + 1))
+    row_bits = (1 << width) - 1
+    offset = 0  # cell (r, c) carries s_(r + c - 1): offset r - 1 plus c
+    while d:
+        bits = d & row_bits
+        while bits:
+            c = bits.bit_length()
+            bits ^= 1 << (c - 1)
+            a = offset + c
+            left, right = line[a - 1], line[a]
+            if left > right:
+                return None
+            line[a - 1], line[a] = right, left
+        d >>= width
+        offset += 1
+    return trim(tuple(line))
+
+
 def permutation_of(cells) -> Optional[Permutation]:
     """Target permutation of a reduced crossing set, or None if not reduced."""
-    word = word_of(cells)
-    if not word:
+    if not cells:
         return ()
-    line = list(range(1, max(word) + 2))
-    for a in word:
-        if line[a - 1] > line[a]:
-            return None  # the step would cancel an inversion
-        line[a - 1], line[a] = line[a], line[a - 1]
-    return trim(tuple(line))
+    width = 1 + max(c for _, c in cells)
+    return _replay(_mask(cells, width), width, max(r + c for r, c in cells))
 
 
 def bottom_pipe_dream(w: Permutation) -> PipeDream:
@@ -82,8 +121,9 @@ def bottom_pipe_dream(w: Permutation) -> PipeDream:
     )
 
 
-def _move_target(cells, cell: Cell) -> Optional[tuple[int, Cell]]:
-    """The unique applicable ladder move at ``cell``, as (order, target).
+def _move_target(d: int, width: int, cell: Cell) -> Optional[tuple[int, Cell]]:
+    """The unique applicable ladder move at ``cell`` = (r, c) of mask ``d``,
+    as (order, target).
 
     Scanning upward from (r, c): a row with both (r', c), (r', c+1) full
     extends the ladder; the first row with both empty receives the crossing
@@ -92,32 +132,48 @@ def _move_target(cells, cell: Cell) -> Optional[tuple[int, Cell]]:
     (r-1, c+1) and (r, c+1) all empty.
     """
     r, c = cell
-    if (r, c + 1) in cells:
+    shift = (r - 1) * width + c - 1
+    if d >> (shift + 1) & 1:
         return None
     rr = r - 1
     while rr >= 1:
-        left, right = (rr, c) in cells, (rr, c + 1) in cells
-        if left and right:
+        shift -= width
+        pair = d >> shift & 3
+        if pair == 3:
             rr -= 1
             continue
-        if not left and not right:
-            return r - rr - 1, (rr, c + 1)
-        return None
+        return (r - rr - 1, (rr, c + 1)) if pair == 0 else None
     return None
+
+
+def _slide(d: int, width: int, cell: Cell) -> Optional[tuple[Cell, int]]:
+    """The order-0 case of ``_move_target``: the cell one step up the
+    diagonal and the mask after the slide, or None when it is blocked."""
+    found = _move_target(d, width, cell)
+    if found is None or found[0] != 0:
+        return None
+    return found[1], d ^ _bit(cell, width) ^ _bit(found[1], width)
+
+
+def _width(cells, cell: Cell) -> int:
+    """A mask width that fits ``cells`` and ``cell``."""
+    return 1 + max(c for _, c in (cell, *cells))
 
 
 def slide_target(cells, cell: Cell) -> Optional[Cell]:
     """Where the order-0 move sends ``cell`` (one step up its diagonal), or
     None when that slide is blocked."""
-    found = _move_target(cells, cell)
-    return found[1] if found is not None and found[0] == 0 else None
+    width = _width(cells, cell)
+    slid = _slide(_mask(cells, width), width, cell)
+    return None if slid is None else slid[0]
 
 
 def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
     """Apply the order-k ladder move at ``cell``; None when not applicable."""
     if cell not in cells:
         raise ValueError(f"{cell} is not a crossing of the pipe dream")
-    found = _move_target(cells, cell)
+    width = _width(cells, cell)
+    found = _move_target(_mask(cells, width), width, cell)
     if found is None or found[0] != k:
         return None
     moved = (cells - {cell}) | {found[1]}
@@ -126,43 +182,101 @@ def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
     return frozenset(moved)
 
 
-def _closure(w: Permutation, simple_only: bool) -> frozenset:
+def _closure(w: Permutation, simple_only: bool) -> tuple[frozenset, Polynomial]:
+    """The dreams of w reachable from the bottom one by ladder moves (order
+    0 only when ``simple_only``), with their weight sum.
+
+    Dreams are masks of width W = len(w), so cell (r, c) + W is (r + 1, c).
+    For a dream d, ``free`` holds its crossings below row 1 with (r, c+1)
+    empty; of those, the ones with (r-1, c) and (r-1, c+1) both empty take
+    the simple slide, the ones with both full start a ladder, and the mixed
+    ones cannot move.  Every new dream is certified, else RuntimeError: it
+    lies in the staircase r + c <= W, has l(w) crossings, and its reading
+    word replays to w.  The bottom dream's mask is checked against
+    ``bottom_pipe_dream``, and each other returned cell set is its parent's
+    with the one moved cell, so every cell set decodes a certified mask.
+    Weights are packed ints with ``per_row`` bits per row, decoded once per
+    distinct weight.
+    """
     w = trim(w)
+    width = max(len(w), 1)  # the identity's one empty dream still gets a row
+    code = lehmer_code(w)
+    n_inv = sum(code)
+    per_row = width.bit_length()  # weight bits per row: row counts stay below W
     bottom = bottom_pipe_dream(w)
-    n_inv = inversions(w)
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for dream in frontier:
-            for cell in dream:
-                found = _move_target(dream, cell)
-                if found is None or (simple_only and found[0] != 0):
-                    continue
-                moved = frozenset((dream - {cell}) | {found[1]})
-                if moved in seen:
-                    continue
-                if len(moved) != n_inv or permutation_of(moved) != w:
-                    raise RuntimeError(f"ladder move at {cell} broke reducedness")
-                seen.add(moved)
-                nxt.append(moved)
-        frontier = nxt
-    return frozenset(seen)
+    d0 = wt0 = 0
+    for i, k in enumerate(code):
+        d0 |= ((1 << k) - 1) << (i * width)
+        wt0 |= k << (i * per_row)
+    if d0 != _mask(bottom, width) or _replay(d0, width, width) != w:
+        raise RuntimeError(f"bottom pipe dream of {w} is wrong")
+    below_row_1 = ~((1 << width) - 1)
+    outside = ~sum(((1 << (width - 1 - i)) - 1) << (i * width) for i in range(width))
+    # per bit index: its cell, and the weight of one crossing in its row
+    cell_at = [(i // width + 1, i % width + 1) for i in range(width * width)]
+    step_at = [1 << (i // width * per_row) for i in range(width * width)]
+    seen = {d0}
+    dreams = [bottom]
+    weights = [wt0]
+    stack = [(d0, wt0, bottom)]
+    while stack:
+        d, wt, cells = stack.pop()
+        free = d & ~(d >> 1) & below_row_1
+        up, up_right = d << width, d << (width - 1)
+        moves = []
+        simple = free & ~up & ~up_right
+        while simple:
+            bit = simple & -simple
+            simple ^= bit
+            moves.append((bit, bit >> (width - 1)))
+        ladders = 0 if simple_only else free & up & up_right
+        while ladders:
+            bit = ladders & -ladders
+            ladders ^= bit
+            found = _move_target(d, width, cell_at[bit.bit_length() - 1])
+            if found is not None:
+                moves.append((bit, _bit(found[1], width)))
+        for bit, target in moves:
+            moved = d ^ bit ^ target
+            if moved in seen:
+                continue
+            if (
+                moved & outside
+                or moved.bit_count() != n_inv
+                or _replay(moved, width, width) != w
+            ):
+                raise RuntimeError(f"ladder move in a dream of {w} broke reducedness")
+            seen.add(moved)
+            i, j = bit.bit_length() - 1, target.bit_length() - 1
+            moved_cells = (cells - {cell_at[i]}) | {cell_at[j]}
+            moved_wt = wt - step_at[i] + step_at[j]
+            dreams.append(moved_cells)
+            weights.append(moved_wt)
+            stack.append((moved, moved_wt, moved_cells))
+    field = (1 << per_row) - 1
+    poly = _raw(
+        {
+            # the fields up to the top set bit: the trimmed exponent tuple
+            tuple([p >> i & field for i in range(0, p.bit_length(), per_row)]): count
+            for p, count in Counter(weights).items()
+        }
+    )
+    return frozenset(dreams), poly
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _all_pipe_dreams_cached(w: Permutation) -> frozenset:
+def _closure_cached(w: Permutation) -> tuple[frozenset, Polynomial]:
     return _closure(w, simple_only=False)
 
 
 def all_pipe_dreams(w: Permutation) -> frozenset:
     """Every reduced pipe dream for w (closure under all ladder-move orders)."""
-    return _all_pipe_dreams_cached(trim(w))
+    return _closure_cached(trim(w))[0]
 
 
 def simple_closure(w: Permutation) -> frozenset:
     """Pipe dreams reachable from the bottom one by order-0 moves alone."""
-    return _closure(w, simple_only=True)
+    return _closure(w, simple_only=True)[0]
 
 
 def weight(cells) -> Monomial:
@@ -170,18 +284,9 @@ def weight(cells) -> Monomial:
     return monomial_of([r for r, _ in cells])
 
 
-def _sum_of_weights(dreams) -> Polynomial:
-    return sum_of_monomials(map(weight, dreams))
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _schubert_cached(w: Permutation) -> Polynomial:
-    return _sum_of_weights(_all_pipe_dreams_cached(w))
-
-
 def schubert(w: Permutation) -> Polynomial:
     """Schubert polynomial of w: the weight sum over all_pipe_dreams(w)."""
-    return _schubert_cached(trim(w))
+    return _closure_cached(trim(w))[1]
 
 
 def _descent_word(u: Permutation) -> tuple[int, ...]:

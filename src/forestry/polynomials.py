@@ -169,6 +169,9 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # equal objects hash equal: a constant polynomial equals its int
+        if not self._terms or (len(self._terms) == 1 and () in self._terms):
+            return hash(self._terms.get((), 0))
         return hash(frozenset(self._terms.items()))
 
     def term_count(self) -> int:

@@ -131,9 +131,19 @@ def test_pattern_witness_fixtures():
 
 def test_pattern_witness_trivial_pattern():
     assert pattern_witness((3, 1, 2), ()) == ()
-    # (1, 2) trims to the empty pattern: every permutation contains it
-    assert pattern_witness((), (1, 2)) == ()
+    assert pattern_witness((), ()) == ()
+    # a pattern is searched as given: (1, 2) is no empty pattern
+    assert pattern_witness((), (1, 2)) is None
     assert pattern_witness((), (2, 1)) is None
+
+
+def test_patterns_ending_in_fixed_points_are_searched_whole():
+    # regression: pattern and text were trimmed before the search, so their
+    # trailing fixed points were lost
+    assert not contains_pattern((2, 1), (1, 2))
+    assert pattern_witness((3, 2, 1), (1, 2)) is None
+    assert pattern_witness((), (1,)) is None
+    assert pattern_witness((2, 1, 3), (1, 2)) == (1, 3)
 
 
 def test_pattern_witness_is_lex_first():

@@ -1,7 +1,17 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forestry.permutations import all_permutations, contains_pattern, lehmer_code, trim, trim_zeros
+from forestry import pipedreams
+from forestry.permutations import (
+    all_permutations,
+    contains_pattern,
+    inversions,
+    lehmer_code,
+    trim,
+    trim_zeros,
+)
 from forestry.pipedreams import (
     all_pipe_dreams,
     bottom_pipe_dream,
@@ -149,6 +159,37 @@ def test_bottom_dream_is_enumerated(w):
     dreams = all_pipe_dreams(w)
     assert bottom_pipe_dream(w) in dreams
     assert simple_closure(w) <= dreams
+
+
+def test_closure_matches_every_reduced_subset_of_the_staircase():
+    # independent of ladder moves: sort every subset of the staircase by the
+    # permutation its reading word gives, and keep those of the right size
+    for n in range(1, 6):
+        staircase = [(r, c) for r in range(1, n) for c in range(1, n - r + 1)]
+        by_perm: dict = {}
+        for k in range(len(staircase) + 1):
+            for subset in itertools.combinations(staircase, k):
+                by_perm.setdefault(permutation_of(subset), set()).add(frozenset(subset))
+        for w in all_permutations(n):
+            reduced = {d for d in by_perm[trim(w)] if len(d) == inversions(w)}
+            assert all_pipe_dreams(w) == reduced
+            assert simple_closure(w) <= reduced
+
+
+def test_closure_certifies_every_move(monkeypatch):
+    # a move primitive that lands one column off must stop the closure
+    move_target = pipedreams._move_target
+
+    def one_column_off(d, width, cell):
+        found = move_target(d, width, cell)
+        if found is None:
+            return None
+        order, (rr, cc) = found
+        return order, (rr, cc + 1)
+
+    monkeypatch.setattr(pipedreams, "_move_target", one_column_off)
+    with pytest.raises(RuntimeError):
+        pipedreams._closure((1, 4, 3, 2), simple_only=False)
 
 
 @given(perms())

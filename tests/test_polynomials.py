@@ -74,6 +74,18 @@ def test_hash_consistency(p):
     assert hash(p) == hash(Polynomial(dict(p.items())))
 
 
+@given(st.integers())
+def test_constant_hashes_as_its_int(c):
+    # regression: a constant polynomial equals its int, so it must hash equal
+    assert Polynomial.constant(c) == c
+    assert hash(Polynomial.constant(c)) == hash(c)
+
+
+def test_zero_and_int_zero_are_one_set_member():
+    assert len({Polynomial.zero(), 0}) == 1
+    assert len({Polynomial.one(), 1, Polynomial.constant(1)}) == 1
+
+
 def test_leading_monomial_prefers_later_variables():
     # ties in total weight break toward the lexicographically smaller
     # exponent vector, i.e. the monomial using later variables

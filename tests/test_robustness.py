@@ -28,6 +28,22 @@ def test_no_bare_assert_in_the_library():
         assert found == [], f"{path.name}: assert at lines {found}"
 
 
+def test_pipedreams_are_the_same_under_optimize():
+    # the closure certifies each dream with an explicit check, not an assert
+    outputs = []
+    for optimize in (False, True):
+        proc = cli(
+            "pipedreams", "4132", "--json",
+            optimize=optimize, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+        outputs.append(json.loads(out))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 2
+
+
 def test_verify_report_is_the_same_under_optimize():
     reports = []
     for optimize in (False, True):
