@@ -34,6 +34,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from .forests import (
+    IndexedForest,
     Labeling,
     Vertex,
     _labeling_sum,
@@ -56,11 +57,11 @@ from .pipedreams import (
     Cell,
     PipeDream,
     _mask,
+    _schubert_divdiff_terms,
     _slide,
-    divided_difference,
     schubert,
-    schubert_divdiff,
 )
+from .polynomials import _divided_difference, _Packing
 
 __all__ = [
     "BadPair",
@@ -134,12 +135,16 @@ def find_bad_pair(w: Permutation) -> Optional[BadPair]:
     """Breadth-first search of the id-tracked simple-move closure for a
     covering pair with row(child) <= row(parent)."""
     w = trim(w)
-    forest = forest_from_code(lehmer_code(w))
+    return _search_bad_pair(forest_from_code(lehmer_code(w)), len(w))
+
+
+def _search_bad_pair(forest: IndexedForest, width: int) -> Optional[BadPair]:
+    """``find_bad_pair`` for the permutation of ``forest``'s code, whose
+    trimmed length is ``width``."""
     ids = forest.vertices
     slot = {v: i for i, v in enumerate(ids)}
     pairs = [(slot[p], slot[c]) for p, c in forest.covers]
     start = tuple(ids)
-    width = len(w)
     prev: dict[tuple, Optional[tuple]] = {start: None}
     queue = deque([(start, _mask(start, width))])
     while queue:
@@ -222,34 +227,41 @@ def _first_ascent(w: Permutation) -> Optional[int]:
     return next((i for i in range(3, len(w)) if w[i - 1] < w[i]), None)
 
 
-def _sweep(prefix: Permutation, n: int):
-    """Yield (w, trimmed Lehmer code of w, Schubert polynomial of w) for
-    every w in S_n (untrimmed) that starts with ``prefix``.
+def _packing(n: int) -> _Packing:
+    """The packing of a run over S_n: x_n has a field, because d_(n-1)
+    passes through it, and every field holds l(w0) = n(n-1)/2, the largest
+    degree of a Schubert or forest polynomial in the run."""
+    return _Packing(n, n * (n - 1) // 2)
+
+
+def _sweep(prefix: Permutation, n: int, packing: _Packing):
+    """Yield (w, trimmed Lehmer code of w, Schubert polynomial of w as
+    ``packing``'s terms) for every w in S_n (untrimmed) that starts with
+    ``prefix``.
 
     The top of the unit, the prefix followed by the other values in
     decreasing order, comes from ``schubert_divdiff``.  Every other w has a
     first ascent i >= 3 and its polynomial is the divided difference d_i of
-    the polynomial of w s_i, which has one inversion more and the same
+    the polynomial of u = w s_i, which has one inversion more and the same
     prefix; so a depth-first walk down from the top reaches each w once.
+    The code is carried down the walk: as u(i) > u(i+1), entries i and i+1
+    of the code of w are those of u, exchanged, the first one less.
     """
     rest = sorted(set(range(1, n + 1)) - set(prefix), reverse=True)
     top = tuple(prefix) + tuple(rest)
-    stack = [(top, schubert_divdiff(top))]
+    stack = [(top, lehmer_code(top), _schubert_divdiff_terms(top, packing))]
     while stack:
-        u, poly = stack.pop()
-        code = trim_zeros(lehmer_code(u))
-        if (
-            not poly
-            or poly.leading_monomial() != code
-            or poly.coefficient(code) != 1
-        ):
+        u, code, terms = stack.pop()
+        lead = min(terms, default=None)
+        if lead != packing.pack(code) or terms[lead] != 1:
             raise RuntimeError(f"divided-difference sweep went wrong at {u}")
-        yield u, code, poly
+        yield u, trim_zeros(code), terms
         for i in range(3, n):
             if u[i - 1] > u[i]:
                 w = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
                 if _first_ascent(w) == i:
-                    stack.append((w, divided_difference(poly, i)))
+                    c = code[: i - 1] + (code[i], code[i - 1] - 1) + code[i + 1 :]
+                    stack.append((w, c, _divided_difference(terms, i, packing)))
 
 
 def _verify_unit(
@@ -259,12 +271,14 @@ def _verify_unit(
     ``prefix``; ``tables`` holds the avoiders of S_(n-1) of the six
     patterns and of 1432."""
     forest_avoiders, avoiders_1432 = tables
+    packing = _packing(n)
     out = _tallies()
     disagreements, badpair_disagreements = [], []
-    for u, code, poly in _sweep(prefix, n):
+    for u, code, terms in _sweep(prefix, n, packing):
         w = trim(u)
+        forest = forest_from_code(code)
         by_pattern = avoids_by_deletions(u, FORBIDDEN_PATTERNS, forest_avoiders)
-        by_expansion = poly == _labeling_sum(forest_from_code(code))
+        by_expansion = terms == _labeling_sum(forest, packing)
         out["total"] += 1
         out["pattern_positive"] += by_pattern
         out["expansion_positive"] += by_expansion
@@ -279,7 +293,7 @@ def _verify_unit(
         # 1432 is one of the six, so avoiding them all avoids it
         if by_pattern or avoids_by_deletions(u, (PATTERN_1432,), avoiders_1432):
             out["badpair_checked"] += 1
-            bad = find_bad_pair(w) is not None
+            bad = _search_bad_pair(forest, len(w)) is not None
             if bad == by_expansion:  # a bad pair must appear iff expansion fails
                 badpair_disagreements.append(
                     {

@@ -18,11 +18,12 @@ is the sum of prod_v x_{f(v)} over valid labelings.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .permutations import _CACHE_SIZE, LehmerCode, trim_zeros
-from .polynomials import Polynomial, monomial_of, sum_of_monomials
+from .polynomials import Polynomial, _Packing, monomial_of
 
 Vertex = tuple[int, int]  # (rho, ordinal), both 1-based
 Labeling = tuple[int, ...]  # values aligned with IndexedForest.vertices
@@ -147,42 +148,81 @@ def code_of_forest(forest: IndexedForest) -> LehmerCode:
     return monomial_of([v[0] for v in forest.vertices])
 
 
-def _topological(forest: IndexedForest) -> list[Vertex]:
-    # parents before children: ordinals descend within a chain, rho ascends
-    return sorted(forest.vertices, key=lambda v: (v[0], -v[1]))
+def _forest_packing(forest: IndexedForest) -> _Packing:
+    """A packing for the labeling weights of ``forest``: one variable per
+    row, fields that hold its vertex count."""
+    return _Packing(len(forest.code), len(forest.vertices))
+
+
+def _labeling_sum(
+    forest: IndexedForest, packing: _Packing, labelings: Optional[list] = None
+) -> dict[int, int]:
+    """The forest polynomial as packed terms: how many valid labelings have
+    each weight prod_v x_f(v).  The one walk over valid labelings; when
+    ``labelings`` is a list, each labeling is also appended to it, in the
+    order ``valid_labelings`` documents."""
+    if len(forest.code) > packing.nvars or len(forest.vertices) > packing.mask:
+        raise RuntimeError(f"labeling weights of {forest.code} overflow the packing")
+    # per vertex, parents first: (slot, parent slot, start, rho).  A vertex
+    # counts up from its parent's value + start: a left child (start -1) may
+    # repeat it, a right child (start 0) may not.  Roots count as right
+    # children of the always-zero sentinel slot -1.  Vertex (row, t) sits in
+    # slot first[row - 1] + t - 1 of ``forest.vertices``; rows go top to
+    # bottom and each chain from its top vertex down, so every parent (the
+    # vertex above in the chain, or the cover of a chain top, which lies in
+    # an earlier row) comes before its children
+    code = forest.code
+    first = list(itertools.accumulate(code, initial=0))
+    covered_by = {child[0]: parent for parent, child in forest.covers}
+    if len(covered_by) != len(forest.covers):
+        raise RuntimeError(f"a chain of the forest of {code} has two parents")
+    steps = []
+    for row, k in enumerate(code, start=1):
+        if not k:
+            continue
+        below = first[row - 1] - 1  # slot of (row, t) is below + t
+        parent = covered_by.get(row)
+        above = -1 if parent is None else first[parent[0] - 1] + parent[1] - 1
+        steps.append((below + k, above, 0, row))
+        steps.extend((below + t, below + t + 1, -1, row) for t in range(k - 1, 0, -1))
+    if not steps:
+        if labelings is not None:
+            labelings.append(())
+        return {0: 1}
+    unit = [0] + [packing.unit(a) for a in range(1, len(forest.code) + 1)]
+    values = [0] * (len(steps) + 1)
+    # weight[k]: the packed weight of the values chosen at steps before k
+    weight = [0] * len(steps)
+    counts: dict[int, int] = {}
+    last = len(steps) - 1
+    k = 0
+    while k >= 0:
+        s, _, _, rho = steps[k]
+        value = values[s]
+        if value >= rho:
+            k -= 1
+            continue
+        value += 1
+        values[s] = value
+        if k == last:
+            key = weight[k] + unit[value]
+            counts[key] = counts.get(key, 0) + 1
+            if labelings is not None:
+                labelings.append(tuple(values[:-1]))
+            continue
+        k += 1
+        weight[k] = weight[k - 1] + unit[value]
+        s, parent, start, _ = steps[k]
+        values[s] = values[parent] + start
+    return counts
 
 
 def valid_labelings(forest: IndexedForest) -> tuple[Labeling, ...]:
     """All valid labelings, deterministically ordered (values ascending in
     parent-first vertex order); each aligned with ``forest.vertices``."""
-    slot = {v: i for i, v in enumerate(forest.vertices)}
-    # per vertex, parents first: (slot, parent slot, start, rho).  A vertex
-    # counts up from its parent's value + start: a left child (start -1) may
-    # repeat it, a right child (start 0) may not.  Roots count as right
-    # children of the always-zero sentinel slot -1
-    steps = []
-    for v in _topological(forest):
-        parent, is_right = forest.parent(v) or (None, True)
-        steps.append((slot[v], slot.get(parent, -1), 0 if is_right else -1, v[0]))
-    if not steps:
-        return ((),)
-    values = [0] * (len(steps) + 1)
-    out: list[Labeling] = []
-    last = len(steps) - 1
-    k = 0
-    while k >= 0:
-        s, _, _, rho = steps[k]
-        if values[s] >= rho:
-            k -= 1
-            continue
-        values[s] += 1
-        if k == last:
-            out.append(tuple(values[:-1]))
-            continue
-        k += 1
-        s, parent, start, _ = steps[k]
-        values[s] = values[parent] + start
-    return tuple(out)
+    labelings: list[Labeling] = []
+    _labeling_sum(forest, _forest_packing(forest), labelings)
+    return tuple(labelings)
 
 
 def is_valid_labeling(forest: IndexedForest, labeling: Labeling) -> bool:
@@ -201,14 +241,11 @@ def is_valid_labeling(forest: IndexedForest, labeling: Labeling) -> bool:
     return True
 
 
-def _labeling_sum(forest: IndexedForest) -> Polynomial:
-    return sum_of_monomials(map(monomial_of, valid_labelings(forest)))
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def forest_polynomial(forest: IndexedForest) -> Polynomial:
     """Sum over valid labelings of prod_v x_{f(v)}; 1 for the empty forest."""
-    return _labeling_sum(forest)
+    packing = _forest_packing(forest)
+    return packing.decode(_labeling_sum(forest, packing))
 
 
 def render_forest(forest: IndexedForest) -> list[str]:

@@ -32,7 +32,8 @@ from .permutations import _CACHE_SIZE, Permutation, lehmer_code, trim
 from .polynomials import (
     Monomial,
     Polynomial,
-    _raw,
+    _divided_difference,
+    _Packing,
     divided_difference,
     monomial_of,
 )
@@ -44,10 +45,8 @@ __all__ = [
     "Cell",
     "PipeDream",
     "diagonal",
-    "word_of",
     "permutation_of",
     "bottom_pipe_dream",
-    "slide_target",
     "ladder_move",
     "all_pipe_dreams",
     "simple_closure",
@@ -62,12 +61,6 @@ __all__ = [
 def diagonal(cell: Cell) -> int:
     """Northeast diagonal index row + col - 1; simple moves preserve it."""
     return cell[0] + cell[1] - 1
-
-
-def word_of(cells) -> tuple[int, ...]:
-    return tuple(
-        r + c - 1 for r, c in sorted(cells, key=lambda rc: (rc[0], -rc[1]))
-    )
 
 
 def _bit(cell: Cell, width: int) -> int:
@@ -155,24 +148,11 @@ def _slide(d: int, width: int, cell: Cell) -> Optional[tuple[Cell, int]]:
     return found[1], d ^ _bit(cell, width) ^ _bit(found[1], width)
 
 
-def _width(cells, cell: Cell) -> int:
-    """A mask width that fits ``cells`` and ``cell``."""
-    return 1 + max(c for _, c in (cell, *cells))
-
-
-def slide_target(cells, cell: Cell) -> Optional[Cell]:
-    """Where the order-0 move sends ``cell`` (one step up its diagonal), or
-    None when that slide is blocked."""
-    width = _width(cells, cell)
-    slid = _slide(_mask(cells, width), width, cell)
-    return None if slid is None else slid[0]
-
-
 def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
     """Apply the order-k ladder move at ``cell``; None when not applicable."""
     if cell not in cells:
         raise ValueError(f"{cell} is not a crossing of the pipe dream")
-    width = _width(cells, cell)
+    width = 1 + max(c for _, c in cells)
     found = _move_target(_mask(cells, width), width, cell)
     if found is None or found[0] != k:
         return None
@@ -195,26 +175,25 @@ def _closure(w: Permutation, simple_only: bool) -> tuple[frozenset, Polynomial]:
     word replays to w.  The bottom dream's mask is checked against
     ``bottom_pipe_dream``, and each other returned cell set is its parent's
     with the one moved cell, so every cell set decodes a certified mask.
-    Weights are packed ints with ``per_row`` bits per row, decoded once per
-    distinct weight.
+    Weights are packed monomials, decoded once per distinct weight.
     """
     w = trim(w)
     width = max(len(w), 1)  # the identity's one empty dream still gets a row
     code = lehmer_code(w)
     n_inv = sum(code)
-    per_row = width.bit_length()  # weight bits per row: row counts stay below W
+    packing = _Packing(width, width - 1)  # row r holds at most W - r crossings
     bottom = bottom_pipe_dream(w)
-    d0 = wt0 = 0
+    wt0 = packing.pack(code)
+    d0 = 0
     for i, k in enumerate(code):
         d0 |= ((1 << k) - 1) << (i * width)
-        wt0 |= k << (i * per_row)
     if d0 != _mask(bottom, width) or _replay(d0, width, width) != w:
         raise RuntimeError(f"bottom pipe dream of {w} is wrong")
     below_row_1 = ~((1 << width) - 1)
     outside = ~sum(((1 << (width - 1 - i)) - 1) << (i * width) for i in range(width))
     # per bit index: its cell, and the weight of one crossing in its row
     cell_at = [(i // width + 1, i % width + 1) for i in range(width * width)]
-    step_at = [1 << (i // width * per_row) for i in range(width * width)]
+    step_at = [u for r in range(1, width + 1) for u in (packing.unit(r),) * width]
     seen = {d0}
     dreams = [bottom]
     weights = [wt0]
@@ -253,15 +232,7 @@ def _closure(w: Permutation, simple_only: bool) -> tuple[frozenset, Polynomial]:
             dreams.append(moved_cells)
             weights.append(moved_wt)
             stack.append((moved, moved_wt, moved_cells))
-    field = (1 << per_row) - 1
-    poly = _raw(
-        {
-            # the fields up to the top set bit: the trimmed exponent tuple
-            tuple([p >> i & field for i in range(0, p.bit_length(), per_row)]): count
-            for p, count in Counter(weights).items()
-        }
-    )
-    return frozenset(dreams), poly
+    return frozenset(dreams), packing.decode(Counter(weights))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -305,18 +276,23 @@ def _descent_word(u: Permutation) -> tuple[int, ...]:
         stripped.append(a)
 
 
+def _schubert_divdiff_terms(w: Permutation, packing: _Packing) -> dict[int, int]:
+    """``schubert_divdiff(w)`` as packed terms; ``packing`` needs len(w)
+    variables and fields that hold len(w) - 1."""
+    n = len(w)
+    terms = {packing.pack(tuple(range(n - 1, 0, -1))): 1}
+    longest_over_w = tuple(n + 1 - v for v in w)
+    for a in _descent_word(longest_over_w):
+        terms = _divided_difference(terms, a, packing)
+    return terms
+
+
 def schubert_divdiff(w: Permutation) -> Polynomial:
     """Independent Schubert oracle: divided differences down from the
     staircase monomial x1^(n-1) x2^(n-2) ... x_{n-1}."""
     w = trim(w)
-    n = len(w)
-    if n <= 1:
-        return Polynomial.one()
-    poly = Polynomial.monomial(tuple(range(n - 1, 0, -1)))
-    longest_over_w = tuple(n + 1 - v for v in w)
-    for a in _descent_word(longest_over_w):
-        poly = divided_difference(poly, a)
-    return poly
+    packing = _Packing(len(w), len(w) - 1)
+    return packing.decode(_schubert_divdiff_terms(w, packing))
 
 
 def render(cells, size: int) -> list[str]:

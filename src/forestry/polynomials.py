@@ -10,6 +10,10 @@ under which the leading monomial of a Schubert polynomial is the Lehmer
 code of its permutation (checked exhaustively in the test suite).
 
 Coefficients are arbitrary-precision ints; no zero coefficient is stored.
+
+Hot loops (the divided-difference sweep, labeling sums, pipe-dream weight
+sums) work on monomials packed into ints instead (``_Packing``) and decode
+once at the end.
 """
 
 from __future__ import annotations
@@ -274,31 +278,92 @@ def swap_variables(p: Polynomial, i: int) -> Polynomial:
     return _raw(terms)
 
 
-def divided_difference(p: Polynomial, i: int) -> Polynomial:
-    """(p - p with x_i, x_{i+1} swapped) / (x_i - x_{i+1}), exactly, term by
-    term: for a > b, x_i^a x_{i+1}^b maps to the sum over k < a - b of
-    x_i^(a-1-k) x_{i+1}^(b+k); equal exponents map to 0; a < b is the
-    negated sum with a and b exchanged."""
-    if i < 1:
-        raise ValueError("variables are numbered from 1")
-    terms: dict[Monomial, int] = {}
-    for exps, coeff in p._terms.items():
-        if len(exps) < i:
-            continue  # x_i and x_{i+1} both absent: symmetric term
-        a = exps[i - 1]
-        b = exps[i] if len(exps) > i else 0
+class _Packing:
+    """Monomials packed into ints, for sums too hot for exponent tuples.
+
+    Each of x_1 .. x_nvars gets a field of ``bits`` bits, x_1 the most
+    significant, so the order of keys is the lex order of the padded
+    exponent vectors and the least key of a packed polynomial is its
+    calibrated leading monomial.  The fields must hold every exponent that
+    arises: ``pack`` refuses a wider one, and the callers that add keys
+    (labeling weights, pipe-dream weights) size ``max_exponent`` by the
+    largest total degree they reach.
+    """
+
+    __slots__ = ("nvars", "bits", "mask")
+
+    def __init__(self, nvars: int, max_exponent: int):
+        self.nvars = nvars
+        self.bits = max(1, max_exponent.bit_length())
+        self.mask = (1 << self.bits) - 1
+
+    def unit(self, i: int) -> int:
+        """The key of x_i."""
+        return 1 << self.bits * (self.nvars - i)
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """The key of the monomial with exponents ``exps``."""
+        if len(exps) > self.nvars or any(e < 0 or e > self.mask for e in exps):
+            raise RuntimeError(
+                f"{tuple(exps)} does not fit {self.nvars} fields of {self.bits} bits"
+            )
+        key = 0
+        for e in exps:
+            key = key << self.bits | e
+        return key << self.bits * (self.nvars - len(exps))
+
+    def decode(self, terms: Mapping[int, int]) -> Polynomial:
+        """The polynomial of packed ``terms``, which hold no zero coefficient."""
+        bits, mask = self.bits, self.mask
+        top = bits * (self.nvars - 1)  # the shift of x_1's field
+        out: dict[Monomial, int] = {}
+        for key, coeff in terms.items():
+            # the fields from x_1 down to the one with the lowest set bit:
+            # the trimmed exponent tuple, () for the key 0
+            stop = (key & -key).bit_length() - 1 - bits if key else top
+            out[tuple([key >> s & mask for s in range(top, stop, -bits)])] = coeff
+        return _raw(out)
+
+
+def _divided_difference(
+    terms: Mapping[int, int], i: int, packing: _Packing
+) -> dict[int, int]:
+    """d_i of packed ``terms`` (i < packing.nvars), term by term: for a > b,
+    x_i^a x_{i+1}^b maps to the sum over k < a - b of x_i^(a-1-k) x_{i+1}^(b+k);
+    equal exponents map to 0; a < b is the negated sum with a and b
+    exchanged.  No exponent grows, so every key stays in its fields."""
+    lo = packing.bits * (packing.nvars - i - 1)
+    hi = lo + packing.bits
+    mask = packing.mask
+    unit = 1 << hi
+    step = unit - (1 << lo)  # moves one degree from x_i to x_{i+1}
+    out: dict[int, int] = {}
+    for key, coeff in terms.items():
+        a = key >> hi & mask
+        b = key >> lo & mask
         if a == b:
             continue
         if a < b:
+            key += (b - a) * step
             a, b, coeff = b, a, -coeff
-        head, tail = exps[: i - 1], exps[i + 1 :]
-        for k in range(a - b):
-            key = head + (a - 1 - k, b + k) + tail
-            if not tail and b + k == 0:
-                key = trim_exponents(key)
-            new = terms.get(key, 0) + coeff
+        key -= unit
+        for _ in range(a - b):
+            new = out.get(key, 0) + coeff
             if new:
-                terms[key] = new
+                out[key] = new
             else:
-                del terms[key]
-    return _raw(terms)
+                del out[key]
+            key -= step
+    return out
+
+
+def divided_difference(p: Polynomial, i: int) -> Polynomial:
+    """(p - p with x_i, x_{i+1} swapped) / (x_i - x_{i+1}), exactly."""
+    if i < 1:
+        raise ValueError("variables are numbered from 1")
+    packing = _Packing(
+        max(i + 1, max(map(len, p._terms), default=0)),
+        max(map(max, filter(None, p._terms)), default=0),
+    )
+    terms = {packing.pack(exps): coeff for exps, coeff in p._terms.items()}
+    return packing.decode(_divided_difference(terms, i, packing))

@@ -13,7 +13,7 @@ from forestry.correspondence import (
     replay_simple_moves,
     verify_theorem,
 )
-from forestry.forests import forest_from_code, valid_labelings
+from forestry.forests import _labeling_sum, forest_from_code, valid_labelings
 from forestry.permutations import (
     FORBIDDEN_PATTERNS,
     all_permutations,
@@ -21,7 +21,9 @@ from forestry.permutations import (
     contains_pattern,
     lehmer_code,
     trim,
+    trim_zeros,
 )
+from forestry.polynomials import monomial_of, sum_of_monomials
 from forestry.pipedreams import (
     all_pipe_dreams,
     ladder_move,
@@ -215,14 +217,13 @@ def test_verdicts_on_the_subtle_case():
 
 
 def check_sweep(n):
-    swept = [
-        (w, poly)
-        for prefix in correspondence._units(n)
-        for w, _, poly in correspondence._sweep(prefix, n)
-    ]
-    assert sorted(w for w, _ in swept) == list(all_permutations(n))
-    for w, poly in swept:
-        assert poly == schubert(w), w
+    packing = correspondence._packing(n)
+    found = []
+    for prefix in correspondence._units(n):
+        for w, _, terms in correspondence._sweep(prefix, n, packing):
+            assert packing.decode(terms) == schubert(w), w
+            found.append(w)
+    assert sorted(found) == list(all_permutations(n))
 
 
 def test_sweep_matches_pipe_dreams():
@@ -235,11 +236,40 @@ def test_sweep_matches_pipe_dreams_s7():
     check_sweep(7)
 
 
+def test_sweep_carries_the_code():
+    for n in range(1, 8):
+        packing = correspondence._packing(n)
+        for prefix in correspondence._units(n):
+            for w, code, _ in correspondence._sweep(prefix, n, packing):
+                assert code == trim_zeros(lehmer_code(w)), w
+
+
 def test_sweep_checks_leading_terms(monkeypatch):
     # a wrong divided difference must stop the run, not pass silently
-    monkeypatch.setattr(correspondence, "divided_difference", lambda p, i: p)
+    monkeypatch.setattr(
+        correspondence, "_divided_difference", lambda terms, i, packing: terms
+    )
     with pytest.raises(RuntimeError):
-        list(correspondence._sweep((1, 2), 4))
+        list(correspondence._sweep((1, 2), 4, correspondence._packing(4)))
+
+
+def check_labeling_sums(n):
+    # the packed sum of the bulk run against the labelings, one by one
+    packing = correspondence._packing(n)
+    for w in all_permutations(n):
+        forest = forest_from_code(lehmer_code(w))
+        expected = sum_of_monomials(map(monomial_of, valid_labelings(forest)))
+        assert packing.decode(_labeling_sum(forest, packing)) == expected, w
+
+
+def test_labeling_sums_match_the_labelings():
+    for n in range(1, 7):
+        check_labeling_sums(n)
+
+
+@pytest.mark.extended
+def test_labeling_sums_match_the_labelings_s7():
+    check_labeling_sums(7)
 
 
 # --- exhaustive verification ----------------------------------------------------

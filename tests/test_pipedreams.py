@@ -24,7 +24,6 @@ from forestry.pipedreams import (
     schubert_divdiff,
     simple_closure,
     weight,
-    word_of,
 )
 from forestry.polynomials import Polynomial, swap_variables
 
@@ -52,8 +51,8 @@ def test_diagonal():
 
 
 def test_word_reads_rows_right_to_left():
-    cells = frozenset({(1, 1), (1, 3), (2, 1)})
-    assert word_of(cells) == (3, 1, 2)
+    # the word is s3 s1 s2: row 1 right to left, then row 2
+    assert permutation_of(frozenset({(1, 1), (1, 3), (2, 1)})) == (2, 4, 1, 3)
 
 
 def test_permutation_of_bottom_fixture():

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from forestry.polynomials import Polynomial, swap_variables, trim_exponents
+from forestry.polynomials import _Packing, Polynomial, swap_variables, trim_exponents
 
 x = Polynomial.variable
 
@@ -163,3 +163,38 @@ def test_swap_fixes_symmetric_polynomials(i):
     )
     assert swap_variables(e1, i) == e1
     assert swap_variables(e2, i) == e2
+
+
+# --- packed monomials ----------------------------------------------------------
+
+
+def wide_polys():
+    exps = st.lists(st.integers(0, 40), min_size=0, max_size=6).map(tuple)
+    return st.dictionaries(exps, st.integers(-5, 5), max_size=8).map(Polynomial)
+
+
+@given(wide_polys(), st.integers(0, 3), st.integers(0, 20))
+def test_packing_round_trip(p, more_vars, more_room):
+    terms = dict(p.items())
+    packing = _Packing(
+        max(map(len, terms), default=0) + more_vars,
+        max((max(e) for e in terms if e), default=0) + more_room,
+    )
+    packed = {packing.pack(exps): coeff for exps, coeff in terms.items()}
+    assert len(packed) == len(terms)
+    assert packing.decode(packed) == p
+    if p:
+        # key order is lex order, so the least key is the leading monomial
+        assert packing.decode({min(packed): 1}) == Polynomial.monomial(
+            p.leading_monomial()
+        )
+
+
+def test_packing_refuses_what_its_fields_cannot_hold():
+    packing = _Packing(3, 5)  # three fields of 3 bits
+    assert packing.pack((7, 0, 7)) == 7 << 6 | 7
+    assert packing.unit(3) == 1
+    with pytest.raises(RuntimeError):
+        packing.pack((8,))
+    with pytest.raises(RuntimeError):
+        packing.pack((0, 0, 0, 1))

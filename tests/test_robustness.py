@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -42,6 +44,29 @@ def test_pipedreams_are_the_same_under_optimize():
         outputs.append(json.loads(out))
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("forest", "--perm", "4132", "--json"), b'"exps": [3, 0, 1]'),
+        (("schubert", "4132", "--oracle"), b"x1^3*x2 + x1^3*x3\noracle: OK"),
+    ],
+)
+def test_packed_sums_are_the_same_under_optimize(argv, expected):
+    # labeling sums, divided differences and pipe-dream weights are packed
+    # into ints and decoded; the field checks raise, they do not assert
+    outputs = []
+    for optimize in (False, True):
+        proc = cli(
+            *argv, optimize=optimize, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert expected in outputs[0]
 
 
 def test_verify_report_is_the_same_under_optimize():
