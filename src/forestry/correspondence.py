@@ -17,8 +17,8 @@ that identification:
 - ``verify_theorem`` checks, over all of S_n, that the pattern test and the
   polynomial-equality test give the same verdict.  In bulk it gets each
   Schubert polynomial from a neighbour by one divided difference instead of
-  a pipe-dream closure, and each pattern verdict from the avoiders of
-  S_(n-1).
+  a pipe-dream closure, both pattern verdicts from one table of the
+  avoiders of S_(n-1), and each forest from the one-pass code layout.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from .forests import (
-    IndexedForest,
     Labeling,
     Vertex,
     _labeling_sum,
+    _layout,
     forest_from_code,
     forest_polynomial,
     is_valid_labeling,
@@ -46,8 +46,8 @@ from .permutations import (
     FORBIDDEN_PATTERNS,
     PATTERN_1432,
     Permutation,
-    avoider_set,
-    avoids_by_deletions,
+    avoidance_bits,
+    avoider_table,
     avoids_forbidden,
     lehmer_code,
     trim,
@@ -57,8 +57,8 @@ from .pipedreams import (
     Cell,
     PipeDream,
     _mask,
+    _open_moves,
     _schubert_divdiff_terms,
-    _slide,
     schubert,
 )
 from .polynomials import _divided_difference, _Packing
@@ -124,10 +124,12 @@ def replay_simple_moves(w: Permutation, moves) -> dict[Vertex, Cell]:
     pos: dict[Vertex, Cell] = {v: v for v in ids}
     occupied = _mask(ids, width)
     for moved in moves:
-        slid = _slide(occupied, width, pos[moved])
-        if slid is None:
-            raise ValueError(f"simple move of {moved} not applicable at {pos[moved]}")
-        pos[moved], occupied = slid
+        r, c = pos[moved]
+        at = (r - 1) * width + c - 1
+        if not _open_moves(occupied, width)[0] >> at & 1:
+            raise ValueError(f"simple move of {moved} not applicable at {(r, c)}")
+        pos[moved] = (r - 1, c + 1)
+        occupied ^= 1 << at | 1 << at - width + 1
     return pos
 
 
@@ -135,39 +137,60 @@ def find_bad_pair(w: Permutation) -> Optional[BadPair]:
     """Breadth-first search of the id-tracked simple-move closure for a
     covering pair with row(child) <= row(parent)."""
     w = trim(w)
-    return _search_bad_pair(forest_from_code(lehmer_code(w)), len(w))
+    code = trim_zeros(lehmer_code(w))
+    return _search_bad_pair(code, _layout(code)[1], len(w))
 
 
-def _search_bad_pair(forest: IndexedForest, width: int) -> Optional[BadPair]:
-    """``find_bad_pair`` for the permutation of ``forest``'s code, whose
-    trimmed length is ``width``."""
-    ids = forest.vertices
-    slot = {v: i for i, v in enumerate(ids)}
-    pairs = [(slot[p], slot[c]) for p, c in forest.covers]
-    start = tuple(ids)
-    prev: dict[tuple, Optional[tuple]] = {start: None}
-    queue = deque([(start, _mask(start, width))])
+def _search_bad_pair(code, covers, width: int) -> Optional[BadPair]:
+    """``find_bad_pair`` for the permutation of the trimmed ``code``, whose
+    trimmed length is ``width``; ``covers`` are ``_layout(code)``'s.
+
+    A state is one int with a field per crossing, in slot order, holding
+    its row, which fixes its cell, as a slide keeps r + c.  Rows only fall
+    from rho <= len(code), which sizes the fields.  The occupied cells ride
+    alongside as a mask.  A slide can only bring the moved crossing level
+    with its cover parent, so each new state is checked for that one pair
+    as it is queued, which finds the first bad state in queue order.  The
+    start is never bad: cover children lie in later rows.
+    """
+    if not covers:
+        return None
+    ids = [(row, t) for row, k in enumerate(code, start=1) for t in range(1, k + 1)]
+    bits = len(code).bit_length()
+    field = (1 << bits) - 1
+    parent_of = {child: parent for parent, child in covers}
+    # cell (r, c) is bit (r - 1) * width + c - 1: on the diagonal
+    # r + c = rho + t of crossing (rho, t) that is r * step + offset, and a
+    # slide to (r - 1, c + 1) lowers it by step
+    step = width - 1
+    crossings = []  # (slot, field shift, offset, cover parent's slot or -1)
+    state = 0
+    for i, (row, t) in enumerate(ids):
+        state |= row << i * bits
+        crossings.append((i, i * bits, row + t - width - 1, parent_of.get(i, -1)))
+    prev: dict[int, Optional[tuple[int, int]]] = {state: None}
+    queue = deque([(state, _mask(ids, width))])
     while queue:
         state, occupied = queue.popleft()
-        found = next(
-            ((pi, ci) for pi, ci in pairs if state[ci][0] <= state[pi][0]), None
-        )
-        if found is not None:
-            moves: list[Vertex] = []
-            cursor = state
-            while prev[cursor] is not None:
-                cursor, idx = prev[cursor]
-                moves.append(ids[idx])
-            moves.reverse()
-            return BadPair(parent=ids[found[0]], child=ids[found[1]], moves=tuple(moves))
-        for idx, cell in enumerate(state):
-            slid = _slide(occupied, width, cell)
-            if slid is not None:
-                target, moved = slid
-                nxt = state[:idx] + (target,) + state[idx + 1 :]
-                if nxt not in prev:
-                    prev[nxt] = (state, idx)
-                    queue.append((nxt, moved))
+        slides = _open_moves(occupied, width)[0]
+        for i, shift, offset, parent in crossings:
+            row = state >> shift & field
+            at = row * step + offset
+            if not slides >> at & 1:
+                continue
+            nxt = state - (1 << shift)
+            if nxt in prev:
+                continue
+            prev[nxt] = (state, i)
+            if parent >= 0 and row - 1 <= nxt >> parent * bits & field:
+                moves: list[Vertex] = []
+                cursor = nxt
+                while prev[cursor] is not None:
+                    cursor, idx = prev[cursor]
+                    moves.append(ids[idx])
+                moves.reverse()
+                return BadPair(parent=ids[parent], child=ids[i], moves=tuple(moves))
+            queue.append((nxt, occupied ^ (1 << at) ^ (1 << at - step)))
     return None
 
 
@@ -264,21 +287,22 @@ def _sweep(prefix: Permutation, n: int, packing: _Packing):
                     stack.append((w, c, _divided_difference(terms, i, packing)))
 
 
-def _verify_unit(
-    prefix: Permutation, n: int, tables: tuple[frozenset, frozenset]
-) -> dict:
+# bit 0 of a pattern verdict: w avoids the six patterns; bit 1: w avoids 1432
+_PATTERN_SETS = (FORBIDDEN_PATTERNS, (PATTERN_1432,))
+
+
+def _verify_unit(prefix: Permutation, n: int, table: dict[Permutation, int]) -> dict:
     """Counts and disagreements over the permutations starting with
-    ``prefix``; ``tables`` holds the avoiders of S_(n-1) of the six
-    patterns and of 1432."""
-    forest_avoiders, avoiders_1432 = tables
+    ``prefix``; ``table`` is ``avoider_table(_PATTERN_SETS, n - 1)``."""
     packing = _packing(n)
     out = _tallies()
     disagreements, badpair_disagreements = [], []
     for u, code, terms in _sweep(prefix, n, packing):
         w = trim(u)
-        forest = forest_from_code(code)
-        by_pattern = avoids_by_deletions(u, FORBIDDEN_PATTERNS, forest_avoiders)
-        by_expansion = terms == _labeling_sum(forest, packing)
+        steps, covers = _layout(code)
+        avoids = avoidance_bits(u, _PATTERN_SETS, table)
+        by_pattern = avoids & 1 == 1
+        by_expansion = terms == _labeling_sum(steps, packing)
         out["total"] += 1
         out["pattern_positive"] += by_pattern
         out["expansion_positive"] += by_expansion
@@ -290,10 +314,10 @@ def _verify_unit(
                     "expansion": by_expansion,
                 }
             )
-        # 1432 is one of the six, so avoiding them all avoids it
-        if by_pattern or avoids_by_deletions(u, (PATTERN_1432,), avoiders_1432):
+        # every w that avoids 1432, which avoiding all six implies
+        if avoids:
             out["badpair_checked"] += 1
-            bad = _search_bad_pair(forest, len(w)) is not None
+            bad = _search_bad_pair(code, covers, len(w)) is not None
             if bad == by_expansion:  # a bad pair must appear iff expansion fails
                 badpair_disagreements.append(
                     {
@@ -326,17 +350,14 @@ def verify_theorem(
     Runs unit by unit, one unit per pair of first values, in lexicographic
     order (optionally fanned out over up to ``jobs`` processes, merged in
     order); ``progress(done, total)`` fires after each unit.  Schubert
-    polynomials come from the divided-difference sweep and pattern verdicts
-    from the avoiders of S_(n-1), both built once per run.
+    polynomials come from the divided-difference sweep, and pattern
+    verdicts from a table of the avoiders of S_(n-1) built once per run.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     started = time.monotonic()
     total = math.factorial(n)
-    tables = (
-        avoider_set(FORBIDDEN_PATTERNS, n - 1),
-        avoider_set((PATTERN_1432,), n - 1),
-    )
+    table = avoider_table(_PATTERN_SETS, n - 1)
     merged = _tallies()
 
     def absorb(unit_result: dict) -> None:
@@ -349,11 +370,11 @@ def verify_theorem(
     jobs = _worker_count(jobs, len(units))
     if jobs == 1:
         for prefix in units:
-            absorb(_verify_unit(prefix, n, tables))
+            absorb(_verify_unit(prefix, n, table))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for result in pool.map(
-                _verify_unit, units, itertools.repeat(n), itertools.repeat(tables)
+                _verify_unit, units, itertools.repeat(n), itertools.repeat(table)
             ):
                 absorb(result)
 

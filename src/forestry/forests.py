@@ -18,7 +18,6 @@ is the sum of prod_v x_{f(v)} over valid labelings.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,57 +82,61 @@ class IndexedForest:
         return tuple(v for v in self.vertices if v not in self._parent)
 
 
-def _covers_from_code(code: LehmerCode) -> list[tuple[Vertex, Vertex]]:
-    """Covering pairs ((i, t), (j, code_j)): vertex t of chain i covers the
-    top vertex of chain j, constraining its label strictly from below.
+def _layout(code: LehmerCode) -> tuple[list, list]:
+    """The forest of ``code`` as labeling steps and cover pairs, from one
+    pass over the rows.  Vertex (row, t) has slot (vertices above its row)
+    + t - 1, its index in ``IndexedForest.vertices``.
 
-    Scanning down from chain i, every empty row consumes one vertex of i
-    (those vertices cover nothing) until i makes its first cover; after
-    that, each remaining vertex of i covers the next nonempty uncovered
-    row, and empty or already-covered rows are passed over for free.
-    Covering a row immediately processes that row's chain the same way.
+    A step is (slot, parent slot, start, rho), parents first: each row's
+    top vertex, then its chain downward.  A vertex counts up from its
+    parent's value + start: a left child (start -1) may repeat it, a right
+    child (start 0) may not; roots hang off the always-zero slot -1.  A
+    cover pair is (parent slot, slot of the top of a later row).
+
+    Open chains wait on a stack as [k, next ordinal t, covered any, slot
+    base]; used-up ones are popped at each row.  An empty row uses up
+    vertex t of the top chain until that chain first covers, and is free
+    after that; a populated row is covered by vertex t of the top chain
+    and opens its own chain.
     """
-    n = len(code)
-    covers: list[tuple[Vertex, Vertex]] = []
-    done: set[int] = set()
-    for start in range(1, n + 1):
-        if not code[start - 1] or start in done:
+    steps: list[tuple[int, int, int, int]] = []
+    covers: list[tuple[int, int]] = []
+    stack: list[list] = []
+    base = 0  # the slot of the next row's vertex 1
+    for p, k in enumerate(code, start=1):
+        while stack and stack[-1][1] > stack[-1][0]:
+            stack.pop()
+        if not k:
+            if stack and not stack[-1][2]:
+                stack[-1][1] += 1
             continue
-        done.add(start)
-        # one frame per chain being processed: [row, next vertex t, scan
-        # position p, covered_any]; a cover pushes the covered row's frame
-        stack = [[start, 1, start + 1, False]]
-        while stack:
-            frame = stack[-1]
-            row, t, p, covered_any = frame
-            while p <= n and (p in done or (covered_any and code[p - 1] == 0)):
-                p += 1
-            if t > code[row - 1] or p > n:
-                stack.pop()
-                continue
-            if code[p - 1] == 0:
-                frame[1:3] = t + 1, p + 1
-                continue
-            covers.append(((row, t), (p, code[p - 1])))
-            frame[1:] = t + 1, p + 1, True
-            done.add(p)
-            stack.append([p, 1, p + 1, False])
-    return covers
+        top = base + k - 1
+        if stack:
+            chain = stack[-1]
+            t = chain[1]
+            parent = chain[3] + t - 1
+            if parent >= base:
+                raise RuntimeError(f"cover of row {p} by slot {parent} is not a right-child edge")
+            covers.append((parent, top))
+            chain[1] = t + 1
+            chain[2] = True
+            steps.append((top, parent, 0, p))
+        else:
+            steps.append((top, -1, 0, p))
+        for s in range(top - 1, base - 1, -1):
+            steps.append((s, s + 1, -1, p))
+        stack.append([k, 1, False, base])
+        base += k
+    if len({child for _, child in covers}) != len(covers):
+        raise RuntimeError(f"a chain of the forest of {code} has two parents")
+    return steps, covers
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _forest_from_code_cached(code: LehmerCode) -> IndexedForest:
-    vertices = tuple(
-        (row, t)
-        for row, k in enumerate(code, start=1)
-        for t in range(1, k + 1)
-    )
-    covers = _covers_from_code(code)
-    forest = IndexedForest(code=code, vertices=vertices, covers=tuple(sorted(covers)))
-    for parent, child in covers:
-        if not (child[0] > parent[0] and child[1] == code[child[0] - 1]):
-            raise RuntimeError(f"cover {parent} -> {child} is not a right-child edge")
-    return forest
+    vertices = tuple((row, t) for row, k in enumerate(code, 1) for t in range(1, k + 1))
+    covers = sorted((vertices[p], vertices[c]) for p, c in _layout(code)[1])
+    return IndexedForest(code=code, vertices=vertices, covers=tuple(covers))
 
 
 def forest_from_code(code: LehmerCode) -> IndexedForest:
@@ -155,41 +158,21 @@ def _forest_packing(forest: IndexedForest) -> _Packing:
 
 
 def _labeling_sum(
-    forest: IndexedForest, packing: _Packing, labelings: Optional[list] = None
+    steps: list, packing: _Packing, labelings: Optional[list] = None
 ) -> dict[int, int]:
     """The forest polynomial as packed terms: how many valid labelings have
-    each weight prod_v x_f(v).  The one walk over valid labelings; when
-    ``labelings`` is a list, each labeling is also appended to it, in the
-    order ``valid_labelings`` documents."""
-    if len(forest.code) > packing.nvars or len(forest.vertices) > packing.mask:
-        raise RuntimeError(f"labeling weights of {forest.code} overflow the packing")
-    # per vertex, parents first: (slot, parent slot, start, rho).  A vertex
-    # counts up from its parent's value + start: a left child (start -1) may
-    # repeat it, a right child (start 0) may not.  Roots count as right
-    # children of the always-zero sentinel slot -1.  Vertex (row, t) sits in
-    # slot first[row - 1] + t - 1 of ``forest.vertices``; rows go top to
-    # bottom and each chain from its top vertex down, so every parent (the
-    # vertex above in the chain, or the cover of a chain top, which lies in
-    # an earlier row) comes before its children
-    code = forest.code
-    first = list(itertools.accumulate(code, initial=0))
-    covered_by = {child[0]: parent for parent, child in forest.covers}
-    if len(covered_by) != len(forest.covers):
-        raise RuntimeError(f"a chain of the forest of {code} has two parents")
-    steps = []
-    for row, k in enumerate(code, start=1):
-        if not k:
-            continue
-        below = first[row - 1] - 1  # slot of (row, t) is below + t
-        parent = covered_by.get(row)
-        above = -1 if parent is None else first[parent[0] - 1] + parent[1] - 1
-        steps.append((below + k, above, 0, row))
-        steps.extend((below + t, below + t + 1, -1, row) for t in range(k - 1, 0, -1))
+    each weight prod_v x_f(v).  The one walk over valid labelings, along
+    the ``steps`` of a ``_layout``; when ``labelings`` is a list, each
+    labeling is also appended to it, in the order ``valid_labelings``
+    documents."""
     if not steps:
         if labelings is not None:
             labelings.append(())
         return {0: 1}
-    unit = [0] + [packing.unit(a) for a in range(1, len(forest.code) + 1)]
+    # rows come in increasing order, so the last step has the largest rho
+    if steps[-1][3] > packing.nvars or len(steps) > packing.mask:
+        raise RuntimeError(f"labeling weights of {len(steps)} vertices overflow the packing")
+    unit = [0] + [packing.unit(a) for a in range(1, steps[-1][3] + 1)]
     values = [0] * (len(steps) + 1)
     # weight[k]: the packed weight of the values chosen at steps before k
     weight = [0] * len(steps)
@@ -221,7 +204,7 @@ def valid_labelings(forest: IndexedForest) -> tuple[Labeling, ...]:
     """All valid labelings, deterministically ordered (values ascending in
     parent-first vertex order); each aligned with ``forest.vertices``."""
     labelings: list[Labeling] = []
-    _labeling_sum(forest, _forest_packing(forest), labelings)
+    _labeling_sum(_layout(forest.code)[0], _forest_packing(forest), labelings)
     return tuple(labelings)
 
 
@@ -245,7 +228,7 @@ def is_valid_labeling(forest: IndexedForest, labeling: Labeling) -> bool:
 def forest_polynomial(forest: IndexedForest) -> Polynomial:
     """Sum over valid labelings of prod_v x_{f(v)}; 1 for the empty forest."""
     packing = _forest_packing(forest)
-    return packing.decode(_labeling_sum(forest, packing))
+    return packing.decode(_labeling_sum(_layout(forest.code)[0], packing))
 
 
 def render_forest(forest: IndexedForest) -> list[str]:

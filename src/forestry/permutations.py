@@ -15,7 +15,7 @@ points carry no meaning: ``(4, 1, 3, 2, 5)`` denotes the same value, and
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 Permutation = tuple[int, ...]
 LehmerCode = tuple[int, ...]
@@ -55,8 +55,8 @@ __all__ = [
     "contains_pattern",
     "pattern_witness",
     "avoids_forbidden",
-    "avoids_by_deletions",
-    "avoider_set",
+    "avoidance_bits",
+    "avoider_table",
     "insert",
     "all_permutations",
     "parse_permutation",
@@ -177,33 +177,38 @@ def insert(w: Permutation, i: int, k: int) -> Permutation:
     return tuple(bumped[: i - 1] + [k] + bumped[i - 1 :])
 
 
-def _deletions(w: Permutation) -> Iterator[Permutation]:
-    """The standardized one-point deletions of w, position by position."""
+def avoidance_bits(w: Permutation, pattern_sets, smaller: Mapping) -> int:
+    """Bit j is set when w avoids every pattern of ``pattern_sets[j]``,
+    given ``smaller``, which maps each permutation of size len(w) - 1 to
+    the same bits (a missing one has none).  An occurrence of a shorter
+    pattern survives some one-point deletion, so w avoids a set exactly
+    when it is none of its patterns and each of its deletions avoids it.
+    One pass over the standardized deletions serves every set; it stops
+    once no bit is left."""
+    bits = 0
+    for j, patterns in enumerate(pattern_sets):
+        if w not in patterns:
+            bits |= 1 << j
     for j, v in enumerate(w):
-        yield tuple(u - (u > v) for u in w[:j] + w[j + 1 :])
+        bits &= smaller.get(tuple(u - (u > v) for u in w[:j] + w[j + 1 :]), 0)
+        if not bits:
+            break
+    return bits
 
 
-def avoids_by_deletions(w: Permutation, patterns, smaller: frozenset) -> bool:
-    """Does w avoid every pattern, given ``smaller``, the avoiders of size
-    len(w) - 1?  An occurrence of a shorter pattern survives some one-point
-    deletion, so w avoids the set exactly when it is none of the patterns
-    and each of its deletions lies in ``smaller``."""
-    return w not in patterns and all(d in smaller for d in _deletions(w))
-
-
-def avoider_set(patterns, n: int) -> frozenset:
-    """The permutations of S_n (untrimmed) that avoid every pattern, built
-    up from S_0 by ``avoids_by_deletions``; the candidates of size k are
-    the avoiders of size k - 1 with one more last value."""
-    patterns = frozenset(patterns)
-    level = frozenset({()})
+def avoider_table(pattern_sets, n: int) -> dict[Permutation, int]:
+    """The permutations of S_n (untrimmed) that avoid every pattern of at
+    least one of ``pattern_sets``, with their ``avoidance_bits``.  Built up
+    from S_0: the candidates of size k are the entries of size k - 1 with
+    one more last value."""
+    level = {(): avoidance_bits((), pattern_sets, {})}
     for k in range(1, n + 1):
-        level = frozenset(
-            w
+        level = {
+            w: bits
             for v in level
             for w in (insert(v, k, last) for last in range(1, k + 1))
-            if avoids_by_deletions(w, patterns, level)
-        )
+            if (bits := avoidance_bits(w, pattern_sets, level))
+        }
     return level
 
 

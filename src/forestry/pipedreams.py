@@ -139,13 +139,15 @@ def _move_target(d: int, width: int, cell: Cell) -> Optional[tuple[int, Cell]]:
     return None
 
 
-def _slide(d: int, width: int, cell: Cell) -> Optional[tuple[Cell, int]]:
-    """The order-0 case of ``_move_target``: the cell one step up the
-    diagonal and the mask after the slide, or None when it is blocked."""
-    found = _move_target(d, width, cell)
-    if found is None or found[0] != 0:
-        return None
-    return found[1], d ^ _bit(cell, width) ^ _bit(found[1], width)
+def _open_moves(d: int, width: int) -> tuple[int, int]:
+    """The crossings of mask ``d`` (width ``width``) that can move, as two
+    masks: simple slides and ladder starts.  Of the crossings below row 1
+    with (r, c+1) empty, those with (r-1, c) and (r-1, c+1) both empty take
+    the simple slide, those with both full start a ladder, and the mixed
+    ones cannot move."""
+    free = d & ~(d >> 1) & -(1 << width)  # -(1 << width) masks off row 1
+    up, up_right = d << width, d << (width - 1)
+    return free & ~(up | up_right), free & up & up_right
 
 
 def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
@@ -166,11 +168,9 @@ def _closure(w: Permutation, simple_only: bool) -> tuple[frozenset, Polynomial]:
     """The dreams of w reachable from the bottom one by ladder moves (order
     0 only when ``simple_only``), with their weight sum.
 
-    Dreams are masks of width W = len(w), so cell (r, c) + W is (r + 1, c).
-    For a dream d, ``free`` holds its crossings below row 1 with (r, c+1)
-    empty; of those, the ones with (r-1, c) and (r-1, c+1) both empty take
-    the simple slide, the ones with both full start a ladder, and the mixed
-    ones cannot move.  Every new dream is certified, else RuntimeError: it
+    Dreams are masks of width W = len(w), so cell (r, c) + W is (r + 1, c),
+    and ``_open_moves`` finds a dream's slides and ladder starts.  Every
+    new dream is certified, else RuntimeError: it
     lies in the staircase r + c <= W, has l(w) crossings, and its reading
     word replays to w.  The bottom dream's mask is checked against
     ``bottom_pipe_dream``, and each other returned cell set is its parent's
@@ -189,7 +189,6 @@ def _closure(w: Permutation, simple_only: bool) -> tuple[frozenset, Polynomial]:
         d0 |= ((1 << k) - 1) << (i * width)
     if d0 != _mask(bottom, width) or _replay(d0, width, width) != w:
         raise RuntimeError(f"bottom pipe dream of {w} is wrong")
-    below_row_1 = ~((1 << width) - 1)
     outside = ~sum(((1 << (width - 1 - i)) - 1) << (i * width) for i in range(width))
     # per bit index: its cell, and the weight of one crossing in its row
     cell_at = [(i // width + 1, i % width + 1) for i in range(width * width)]
@@ -200,15 +199,14 @@ def _closure(w: Permutation, simple_only: bool) -> tuple[frozenset, Polynomial]:
     stack = [(d0, wt0, bottom)]
     while stack:
         d, wt, cells = stack.pop()
-        free = d & ~(d >> 1) & below_row_1
-        up, up_right = d << width, d << (width - 1)
         moves = []
-        simple = free & ~up & ~up_right
+        simple, ladders = _open_moves(d, width)
         while simple:
             bit = simple & -simple
             simple ^= bit
             moves.append((bit, bit >> (width - 1)))
-        ladders = 0 if simple_only else free & up & up_right
+        if simple_only:
+            ladders = 0
         while ladders:
             bit = ladders & -ladders
             ladders ^= bit

@@ -18,7 +18,6 @@ once at the end.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -28,8 +27,6 @@ __all__ = [
     "Polynomial",
     "trim_exponents",
     "monomial_of",
-    "sum_of_monomials",
-    "swap_variables",
     "divided_difference",
 ]
 
@@ -259,23 +256,6 @@ def _raw(terms: dict[Monomial, int]) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p._terms = terms
     return p
-
-
-def sum_of_monomials(monomials: Iterable[Monomial]) -> Polynomial:
-    """Sum of trimmed monomials, each with coefficient 1 (a weight sum)."""
-    return _raw(dict(Counter(monomials)))
-
-
-def swap_variables(p: Polynomial, i: int) -> Polynomial:
-    """Exchange x_i and x_{i+1} (1-based i)."""
-    if i < 1:
-        raise ValueError("variables are numbered from 1")
-    terms: dict[Monomial, int] = {}
-    for exps, coeff in p._terms.items():
-        padded = list(exps) + [0] * max(0, i + 1 - len(exps))
-        padded[i - 1], padded[i] = padded[i], padded[i - 1]
-        terms[trim_exponents(padded)] = coeff
-    return _raw(terms)
 
 
 class _Packing:

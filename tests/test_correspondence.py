@@ -1,8 +1,12 @@
+import importlib
 import itertools
+import pkgutil
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import forestry
 from forestry import correspondence
 from forestry.correspondence import (
     covering_relation,
@@ -13,9 +17,10 @@ from forestry.correspondence import (
     replay_simple_moves,
     verify_theorem,
 )
-from forestry.forests import _labeling_sum, forest_from_code, valid_labelings
+from forestry.forests import _labeling_sum, _layout, forest_from_code, valid_labelings
 from forestry.permutations import (
     FORBIDDEN_PATTERNS,
+    PATTERN_1432,
     all_permutations,
     avoids_forbidden,
     contains_pattern,
@@ -23,8 +28,11 @@ from forestry.permutations import (
     trim,
     trim_zeros,
 )
-from forestry.polynomials import monomial_of, sum_of_monomials
+from forestry.polynomials import Polynomial, monomial_of
 from forestry.pipedreams import (
+    _bit,
+    _mask,
+    _move_target,
     all_pipe_dreams,
     ladder_move,
     schubert,
@@ -194,6 +202,74 @@ def test_bad_pair_exists_iff_expansion_differs():
             assert (find_bad_pair(w) is None) == is_forest_by_expansion(w)
 
 
+def reference_slide(d, width, cell):
+    # the order-0 ladder move at one cell: its target and the mask after it
+    found = _move_target(d, width, cell)
+    if found is None or found[0] != 0:
+        return None
+    return found[1], d ^ _bit(cell, width) ^ _bit(found[1], width)
+
+
+def reference_bad_pair(w):
+    # the search on tuples of (row, col) cells, one slide test per crossing
+    # and state, every queued state checked for every cover when dequeued
+    w = trim(w)
+    width = len(w)
+    forest = forest_from_code(lehmer_code(w))
+    ids = forest.vertices
+    slot = {v: i for i, v in enumerate(ids)}
+    pairs = [(slot[p], slot[c]) for p, c in forest.covers]
+    start = tuple(ids)
+    prev = {start: None}
+    queue = deque([(start, _mask(start, width))])
+    while queue:
+        state, occupied = queue.popleft()
+        found = next(
+            ((pi, ci) for pi, ci in pairs if state[ci][0] <= state[pi][0]), None
+        )
+        if found is not None:
+            moves = []
+            cursor = state
+            while prev[cursor] is not None:
+                cursor, idx = prev[cursor]
+                moves.append(ids[idx])
+            moves.reverse()
+            return ids[found[0]], ids[found[1]], tuple(moves)
+        for idx, cell in enumerate(state):
+            slid = reference_slide(occupied, width, cell)
+            if slid is not None:
+                target, moved = slid
+                nxt = state[:idx] + (target,) + state[idx + 1 :]
+                if nxt not in prev:
+                    prev[nxt] = (state, idx)
+                    queue.append((nxt, moved))
+    return None
+
+
+def check_bad_pairs(n):
+    for w in all_permutations(n):
+        if contains_pattern(w, PATTERN_1432):
+            continue
+        found = find_bad_pair(w)
+        expected = reference_bad_pair(w)
+        if found is None:
+            assert expected is None, w
+            continue
+        assert (found.parent, found.child, found.moves) == expected, w
+        placement = replay_simple_moves(w, found.moves)
+        assert placement[found.child][0] <= placement[found.parent][0], w
+
+
+def test_bad_pairs_match_the_tuple_search():
+    for n in range(1, 7):
+        check_bad_pairs(n)
+
+
+@pytest.mark.extended
+def test_bad_pairs_match_the_tuple_search_s7():
+    check_bad_pairs(7)
+
+
 # --- the two verdicts --------------------------------------------------------
 
 
@@ -258,8 +334,9 @@ def check_labeling_sums(n):
     packing = correspondence._packing(n)
     for w in all_permutations(n):
         forest = forest_from_code(lehmer_code(w))
-        expected = sum_of_monomials(map(monomial_of, valid_labelings(forest)))
-        assert packing.decode(_labeling_sum(forest, packing)) == expected, w
+        expected = Polynomial(Counter(map(monomial_of, valid_labelings(forest))))
+        steps = _layout(forest.code)[0]
+        assert packing.decode(_labeling_sum(steps, packing)) == expected, w
 
 
 def test_labeling_sums_match_the_labelings():
@@ -291,6 +368,23 @@ def test_verify_counts_badpair_checks():
     report = verify_theorem(4)
     # every permutation except 1432 itself is eligible for the cross-check
     assert report.badpair_checked == 23
+    # 341265 is one of the six and avoids 1432; it clears only its own bit
+    assert verify_theorem(6).badpair_checked == 513
+
+
+def test_bulk_verify_fills_no_cache():
+    # the bulk run reads the code layout; it builds no IndexedForest and
+    # neither looks up nor fills any memo
+    caches = {
+        id(value): value
+        for info in pkgutil.iter_modules(forestry.__path__, "forestry.")
+        for value in vars(importlib.import_module(info.name)).values()
+        if hasattr(value, "cache_info")
+    }
+    assert len(caches) == 3
+    before = [cache.cache_info() for cache in caches.values()]
+    verify_theorem(6)
+    assert [cache.cache_info() for cache in caches.values()] == before
 
 
 REPORT_FIELDS = (
@@ -312,7 +406,7 @@ def test_verify_parallel_merge_matches_serial(monkeypatch):
         assert getattr(serial, field) == getattr(parallel, field)
     # with no avoiders at all every pattern verdict is negative, so each
     # expansion-positive permutation becomes a disagreement
-    monkeypatch.setattr(correspondence, "avoider_set", lambda patterns, n: frozenset())
+    monkeypatch.setattr(correspondence, "avoider_table", lambda pattern_sets, n: {})
     serial = verify_theorem(4)
     parallel = verify_theorem(4, jobs=2)
     for field in REPORT_FIELDS:

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from forestry.forests import (
+    _layout,
     code_of_forest,
     forest_from_code,
     forest_polynomial,
@@ -10,6 +13,7 @@ from forestry.forests import (
     render_forest,
     valid_labelings,
 )
+from forestry.permutations import all_permutations, lehmer_code, trim_zeros
 from forestry.polynomials import Polynomial
 
 x = Polynomial.variable
@@ -137,6 +141,113 @@ def test_nearby_diagonals_imply_subtree_membership(code):
         for v in forest.vertices:
             if v[0] > u[0] and v[0] + v[1] <= u[0] + u[1] + 1:
                 assert v in reach
+
+
+# --- the one-pass layout against the frame-stack scan --------------------------
+
+
+def reference_covers(code):
+    # one frame per chain being processed: [row, next vertex t, scan
+    # position p, covered_any]; a cover pushes the covered row's frame
+    n = len(code)
+    covers = []
+    done = set()
+    for start in range(1, n + 1):
+        if not code[start - 1] or start in done:
+            continue
+        done.add(start)
+        stack = [[start, 1, start + 1, False]]
+        while stack:
+            frame = stack[-1]
+            row, t, p, covered_any = frame
+            while p <= n and (p in done or (covered_any and code[p - 1] == 0)):
+                p += 1
+            if t > code[row - 1] or p > n:
+                stack.pop()
+                continue
+            if code[p - 1] == 0:
+                frame[1:3] = t + 1, p + 1
+                continue
+            covers.append(((row, t), (p, code[p - 1])))
+            frame[1:] = t + 1, p + 1, True
+            done.add(p)
+            stack.append([p, 1, p + 1, False])
+    return covers
+
+
+def reference_steps(code, covers):
+    # rows top to bottom, each chain from its top vertex down
+    first = list(itertools.accumulate(code, initial=0))
+    covered_by = {child[0]: parent for parent, child in covers}
+    steps = []
+    for row, k in enumerate(code, start=1):
+        if not k:
+            continue
+        below = first[row - 1] - 1
+        parent = covered_by.get(row)
+        above = -1 if parent is None else first[parent[0] - 1] + parent[1] - 1
+        steps.append((below + k, above, 0, row))
+        steps.extend((below + t, below + t + 1, -1, row) for t in range(k - 1, 0, -1))
+    return steps
+
+
+def reference_labelings(forest, order):
+    # valid labelings in lex order of their values read in ``order``; each
+    # vertex's constraint comes from the forest's own parent map
+    slot = {v: i for i, v in enumerate(forest.vertices)}
+    out, values = [], [0] * len(forest.vertices)
+
+    def extend(k):
+        if k == len(order):
+            out.append(tuple(values))
+            return
+        v = forest.vertices[order[k]]
+        low = 1
+        up = forest.parent(v)
+        if up is not None:
+            parent, is_right = up
+            low = values[slot[parent]] + is_right
+        for value in range(low, v[0] + 1):
+            values[order[k]] = value
+            extend(k + 1)
+
+    extend(0)
+    return tuple(out)
+
+
+def check_layout(code, labelings=True):
+    code = trim_zeros(code)
+    steps, pairs = _layout(code)
+    forest = forest_from_code(code)
+    covers = reference_covers(code)
+    assert sorted((forest.vertices[p], forest.vertices[c]) for p, c in pairs) == sorted(covers)
+    assert forest.covers == tuple(sorted(covers))
+    assert steps == reference_steps(code, covers)
+    if labelings:
+        order = [step[0] for step in steps]
+        assert valid_labelings(forest) == reference_labelings(forest, order)
+
+
+def trimmed_codes(n):
+    return sorted({trim_zeros(lehmer_code(w)) for w in all_permutations(n)})
+
+
+def test_layout_matches_the_frame_stack_scan():
+    for n in range(1, 8):
+        for code in trimmed_codes(n):
+            check_layout(code)
+
+
+@pytest.mark.extended
+def test_layout_matches_the_frame_stack_scan_s8():
+    for code in trimmed_codes(8):
+        check_layout(code)
+
+
+@settings(deadline=None)
+@given(codes(max_len=7, max_entry=4))
+def test_layout_matches_the_frame_stack_scan_on_any_code(code):
+    check_layout(code, labelings=sum(code) <= 8)
 
 
 # --- labelings -------------------------------------------------------------------

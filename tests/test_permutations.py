@@ -5,8 +5,8 @@ from forestry.permutations import (
     FORBIDDEN_PATTERNS,
     PATTERN_1432,
     all_permutations,
-    avoider_set,
-    avoids_by_deletions,
+    avoidance_bits,
+    avoider_table,
     avoids_forbidden,
     contains_pattern,
     format_permutation,
@@ -180,25 +180,33 @@ def test_avoids_forbidden_fixtures():
     assert not avoids_forbidden((3, 2, 1, 4, 6, 5))
 
 
+SETS = (FORBIDDEN_PATTERNS, (PATTERN_1432,))
+
+
 def test_avoider_sets_match_the_pattern_search():
-    # the backtracking search is the reference for the deletion rule
+    # the backtracking search is the reference for the deletion rule; the
+    # patterns themselves are among the permutations checked
     for n in range(1, 8):
-        forest = avoider_set(FORBIDDEN_PATTERNS, n)
-        no_1432 = avoider_set((PATTERN_1432,), n)
+        table = avoider_table(SETS, n)
         for w in all_permutations(n):
-            assert (w in forest) == avoids_forbidden(w)
-            assert (w in no_1432) == (not contains_pattern(w, PATTERN_1432))
+            bits = table.get(w, 0)
+            assert bits & 1 == avoids_forbidden(w), w
+            assert bits >> 1 == (not contains_pattern(w, PATTERN_1432)), w
 
 
 def test_avoids_by_deletions_fixtures():
-    assert avoider_set(FORBIDDEN_PATTERNS, 0) == frozenset({()})
-    size3 = avoider_set(FORBIDDEN_PATTERNS, 3)
-    size4 = avoider_set(FORBIDDEN_PATTERNS, 4)
-    assert avoids_by_deletions((4, 1, 3, 2), FORBIDDEN_PATTERNS, size3)
-    # 2413 is one of the patterns, though each of its deletions is clean
-    assert not avoids_by_deletions((2, 4, 1, 3), FORBIDDEN_PATTERNS, size3)
+    assert avoider_table(SETS, 0) == {(): 0b11}
+    size3, size4 = avoider_table(SETS, 3), avoider_table(SETS, 4)
+    assert avoidance_bits((4, 1, 3, 2), SETS, size3) == 0b11
+    # 2413 is one of the six, though each of its deletions is clean; it
+    # clears its own bit and keeps the other
+    assert avoidance_bits((2, 4, 1, 3), SETS, size3) == 0b10
+    # 1432 is a pattern of both sets
+    assert avoidance_bits((1, 4, 3, 2), SETS, size3) == 0
     # 24513 is not a pattern, but deleting its 5 leaves 2413
-    assert not avoids_by_deletions((2, 4, 5, 1, 3), FORBIDDEN_PATTERNS, size4)
+    assert avoidance_bits((2, 4, 5, 1, 3), SETS, size4) == 0b10
+    # a missing deletion counts as avoiding nothing
+    assert avoidance_bits((2, 1), SETS, {}) == 0
 
 
 # --- insertion ---------------------------------------------------------------

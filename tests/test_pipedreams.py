@@ -25,7 +25,7 @@ from forestry.pipedreams import (
     simple_closure,
     weight,
 )
-from forestry.polynomials import Polynomial, swap_variables
+from forestry.polynomials import Polynomial
 
 x = Polynomial.variable
 
@@ -242,6 +242,16 @@ def test_divided_difference_fixtures():
 @given(small_polys(), st.integers(1, 3))
 def test_divided_difference_squares_to_zero(p, i):
     assert divided_difference(divided_difference(p, i), i) == 0
+
+
+def swap_variables(p, i):
+    """p with x_i and x_(i+1) exchanged (1-based i)."""
+    terms = {}
+    for exps, coeff in p.items():
+        padded = list(exps) + [0] * max(0, i + 1 - len(exps))
+        padded[i - 1], padded[i] = padded[i], padded[i - 1]
+        terms[tuple(padded)] = coeff
+    return Polynomial(terms)
 
 
 @given(small_polys(), st.integers(1, 3))

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from forestry.polynomials import _Packing, Polynomial, swap_variables, trim_exponents
+from forestry.polynomials import _Packing, Polynomial, trim_exponents
 
 x = Polynomial.variable
 
@@ -141,28 +141,6 @@ def test_from_json_rejects_malformed():
     ]:
         with pytest.raises(ValueError):
             Polynomial.from_json_obj(bad)
-
-
-def test_swap_variables_fixture():
-    p = x(1) ** 2 * x(2)
-    assert swap_variables(p, 1) == x(1) * x(2) ** 2
-    assert swap_variables(x(3), 1) == x(3)
-
-
-@given(small_polys(), st.integers(1, 3))
-def test_swap_variables_is_an_involution(p, i):
-    assert swap_variables(swap_variables(p, i), i) == p
-
-
-@given(st.integers(1, 3))
-def test_swap_fixes_symmetric_polynomials(i):
-    e1 = x(1) + x(2) + x(3) + x(4)
-    e2 = sum(
-        (x(a) * x(b) for a in range(1, 5) for b in range(a + 1, 5)),
-        Polynomial.zero(),
-    )
-    assert swap_variables(e1, i) == e1
-    assert swap_variables(e2, i) == e2
 
 
 # --- packed monomials ----------------------------------------------------------

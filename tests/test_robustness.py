@@ -51,11 +51,13 @@ def test_pipedreams_are_the_same_under_optimize():
     [
         (("forest", "--perm", "4132", "--json"), b'"exps": [3, 0, 1]'),
         (("schubert", "4132", "--oracle"), b"x1^3*x2 + x1^3*x3\noracle: OK"),
+        (("check", "2413", "--json"), b'"bad_pair": {"parent": [1, 1], "child": [2, 2]'),
     ],
 )
 def test_packed_sums_are_the_same_under_optimize(argv, expected):
     # labeling sums, divided differences and pipe-dream weights are packed
-    # into ints and decoded; the field checks raise, they do not assert
+    # into ints and decoded, and bad-pair states are ints with a field per
+    # crossing; the field and layout checks raise, they do not assert
     outputs = []
     for optimize in (False, True):
         proc = cli(
