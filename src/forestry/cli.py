@@ -33,7 +33,6 @@ from .permutations import (
     PATTERN_1432,
     LehmerCode,
     Permutation,
-    contains_pattern,
     format_permutation,
     lehmer_code,
     parse_permutation,
@@ -179,14 +178,14 @@ def _id_text(vertex: tuple[int, int]) -> str:
 def _cmd_check(args) -> int:
     w = _parse_perm_arg(args.perm)
     hits = [
-        (p, pattern_witness(w, p))
+        (p, idx)
         for p in FORBIDDEN_PATTERNS
-        if contains_pattern(w, p)
+        if (idx := pattern_witness(w, p)) is not None
     ]
     by_pattern = not hits
     by_expansion = is_forest_by_expansion(w)
     bad = None
-    if not contains_pattern(w, PATTERN_1432):
+    if PATTERN_1432 not in (p for p, _ in hits):
         bad = find_bad_pair(w)
 
     if by_pattern:

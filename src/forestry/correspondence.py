@@ -245,11 +245,6 @@ def _units(n: int) -> list[Permutation]:
     return list(itertools.permutations(range(1, n + 1), min(n, 2)))
 
 
-def _first_ascent(w: Permutation) -> Optional[int]:
-    """The least i >= 3 with w(i) < w(i+1), or None."""
-    return next((i for i in range(3, len(w)) if w[i - 1] < w[i]), None)
-
-
 def _packing(n: int) -> _Packing:
     """The packing of a run over S_n: x_n has a field, because d_(n-1)
     passes through it, and every field holds l(w0) = n(n-1)/2, the largest
@@ -279,12 +274,17 @@ def _sweep(prefix: Permutation, n: int, packing: _Packing):
         if lead != packing.pack(code) or terms[lead] != 1:
             raise RuntimeError(f"divided-difference sweep went wrong at {u}")
         yield u, trim_zeros(code), terms
-        for i in range(3, n):
-            if u[i - 1] > u[i]:
-                w = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
-                if _first_ascent(w) == i:
-                    c = code[: i - 1] + (code[i], code[i - 1] - 1) + code[i + 1 :]
-                    stack.append((w, c, _divided_difference(terms, i, packing)))
+        # with f the first ascent >= 3 of u (n if none), w = u s_i has
+        # first ascent i for each i < f, and for i = f + 1 when
+        # u(f+1) > u(f+2) < u(f); for no other i
+        f = next((i for i in range(3, n) if u[i - 1] < u[i]), n)
+        children = list(range(3, f))
+        if f + 1 < n and u[f - 1] > u[f + 1] < u[f]:
+            children.append(f + 1)
+        for i in children:
+            w = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+            c = code[: i - 1] + (code[i], code[i - 1] - 1) + code[i + 1 :]
+            stack.append((w, c, _divided_difference(terms, i, packing)))
 
 
 # bit 0 of a pattern verdict: w avoids the six patterns; bit 1: w avoids 1432

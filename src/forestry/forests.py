@@ -13,16 +13,19 @@ row i adopts the next populated unadopted row, passing empty rows for free.
 A valid labeling f picks 1 <= f(v) <= rho(v) with f weakly increasing along
 left edges and strictly increasing along right edges.  The forest polynomial
 is the sum of prod_v x_{f(v)} over valid labelings.
+
+One cache entry per trimmed code holds its forest, which carries the
+code's layout and, once computed, its forest polynomial.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 from .permutations import _CACHE_SIZE, LehmerCode, trim_zeros
-from .polynomials import Polynomial, _Packing, monomial_of
+from .polynomials import Polynomial, _Packing
 
 Vertex = tuple[int, int]  # (rho, ordinal), both 1-based
 Labeling = tuple[int, ...]  # values aligned with IndexedForest.vertices
@@ -46,14 +49,13 @@ class IndexedForest:
     code: LehmerCode
     vertices: tuple[Vertex, ...]  # sorted (rho, ordinal)
     covers: tuple[tuple[Vertex, Vertex], ...]  # (parent, right child), sorted
+    # _layout(code)'s labeling steps, the one statement of the structure
+    # that parent(), roots(), the labeling rule and the polynomial read
+    steps: tuple[tuple[int, int, int, int], ...] = field(compare=False, repr=False)
 
     @functools.cached_property
     def _right_child(self) -> dict[Vertex, Vertex]:
         return dict(self.covers)
-
-    @functools.cached_property
-    def _vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
 
     def left_child(self, v: Vertex) -> Optional[Vertex]:
         return (v[0], v[1] - 1) if v[1] > 1 else None
@@ -63,23 +65,22 @@ class IndexedForest:
 
     @functools.cached_property
     def _parent(self) -> dict[Vertex, tuple[Vertex, bool]]:
-        """child -> (parent, child_is_right)."""
-        out: dict[Vertex, tuple[Vertex, bool]] = {}
-        for v in self.vertices:
-            up = (v[0], v[1] + 1)
-            if up in self._vertex_set:
-                out[v] = (up, False)
-        for parent, child in self.covers:
-            if child in out:
-                raise RuntimeError(f"vertex {child} has two parents")
-            out[child] = (parent, True)
-        return out
+        """child -> (parent, child_is_right); a right child starts at 0."""
+        v = self.vertices
+        return {v[s]: (v[p], start == 0) for s, p, start, _ in self.steps if p >= 0}
 
     def parent(self, v: Vertex) -> Optional[tuple[Vertex, bool]]:
         return self._parent.get(v)
 
     def roots(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if v not in self._parent)
+        # root steps come in row order, so in vertex order
+        return tuple(self.vertices[s] for s, p, _, _ in self.steps if p < 0)
+
+    @functools.cached_property
+    def _polynomial(self) -> Polynomial:
+        # one variable per row, fields that hold the vertex count
+        packing = _Packing(len(self.code), len(self.vertices))
+        return packing.decode(_labeling_sum(self.steps, packing))
 
 
 def _layout(code: LehmerCode) -> tuple[list, list]:
@@ -134,9 +135,10 @@ def _layout(code: LehmerCode) -> tuple[list, list]:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _forest_from_code_cached(code: LehmerCode) -> IndexedForest:
+    steps, pairs = _layout(code)
     vertices = tuple((row, t) for row, k in enumerate(code, 1) for t in range(1, k + 1))
-    covers = sorted((vertices[p], vertices[c]) for p, c in _layout(code)[1])
-    return IndexedForest(code=code, vertices=vertices, covers=tuple(covers))
+    covers = tuple(sorted((vertices[p], vertices[c]) for p, c in pairs))
+    return IndexedForest(code=code, vertices=vertices, covers=covers, steps=tuple(steps))
 
 
 def forest_from_code(code: LehmerCode) -> IndexedForest:
@@ -148,17 +150,11 @@ def forest_from_code(code: LehmerCode) -> IndexedForest:
 
 def code_of_forest(forest: IndexedForest) -> LehmerCode:
     """Vertices per row: the trimmed code the forest was built from."""
-    return monomial_of([v[0] for v in forest.vertices])
-
-
-def _forest_packing(forest: IndexedForest) -> _Packing:
-    """A packing for the labeling weights of ``forest``: one variable per
-    row, fields that hold its vertex count."""
-    return _Packing(len(forest.code), len(forest.vertices))
+    return forest.code
 
 
 def _labeling_sum(
-    steps: list, packing: _Packing, labelings: Optional[list] = None
+    steps: Sequence, packing: _Packing, labelings: Optional[list] = None
 ) -> dict[int, int]:
     """The forest polynomial as packed terms: how many valid labelings have
     each weight prod_v x_f(v).  The one walk over valid labelings, along
@@ -172,7 +168,7 @@ def _labeling_sum(
     # rows come in increasing order, so the last step has the largest rho
     if steps[-1][3] > packing.nvars or len(steps) > packing.mask:
         raise RuntimeError(f"labeling weights of {len(steps)} vertices overflow the packing")
-    unit = [0] + [packing.unit(a) for a in range(1, steps[-1][3] + 1)]
+    unit = packing.units
     values = [0] * (len(steps) + 1)
     # weight[k]: the packed weight of the values chosen at steps before k
     weight = [0] * len(steps)
@@ -204,31 +200,23 @@ def valid_labelings(forest: IndexedForest) -> tuple[Labeling, ...]:
     """All valid labelings, deterministically ordered (values ascending in
     parent-first vertex order); each aligned with ``forest.vertices``."""
     labelings: list[Labeling] = []
-    _labeling_sum(_layout(forest.code)[0], _forest_packing(forest), labelings)
+    packing = _Packing(len(forest.code), len(forest.vertices))
+    _labeling_sum(forest.steps, packing, labelings)
     return tuple(labelings)
 
 
 def is_valid_labeling(forest: IndexedForest, labeling: Labeling) -> bool:
+    """Does each vertex's value count up from its parent's value + start to
+    at most its rho, along the steps?  A root's parent is the zero slot -1."""
     if len(labeling) != len(forest.vertices):
         return False
-    value = dict(zip(forest.vertices, labeling))
-    for v in forest.vertices:
-        if not 1 <= value[v] <= v[0]:
-            return False
-        left = forest.left_child(v)
-        if left is not None and not value[v] <= value[left]:
-            return False
-        right = forest.right_child(v)
-        if right is not None and not value[v] < value[right]:
-            return False
-    return True
+    values = [*labeling, 0]
+    return all(values[p] + start < values[s] <= rho for s, p, start, rho in forest.steps)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def forest_polynomial(forest: IndexedForest) -> Polynomial:
     """Sum over valid labelings of prod_v x_{f(v)}; 1 for the empty forest."""
-    packing = _forest_packing(forest)
-    return packing.decode(_labeling_sum(_layout(forest.code)[0], packing))
+    return forest._polynomial
 
 
 def render_forest(forest: IndexedForest) -> list[str]:

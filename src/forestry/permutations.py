@@ -45,7 +45,6 @@ __all__ = [
     "PATTERN_1432",
     "FORBIDDEN_PATTERNS",
     "is_permutation",
-    "identity",
     "trim",
     "inverse",
     "inversions",
@@ -66,10 +65,6 @@ __all__ = [
 
 def is_permutation(word: tuple[int, ...]) -> bool:
     return sorted(word) == list(range(1, len(word) + 1))
-
-
-def identity(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
 
 
 def trim(w: Permutation) -> Permutation:

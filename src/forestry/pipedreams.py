@@ -44,7 +44,6 @@ PipeDream = frozenset  # of Cell
 __all__ = [
     "Cell",
     "PipeDream",
-    "diagonal",
     "permutation_of",
     "bottom_pipe_dream",
     "ladder_move",
@@ -56,11 +55,6 @@ __all__ = [
     "schubert_divdiff",
     "render",
 ]
-
-
-def diagonal(cell: Cell) -> int:
-    """Northeast diagonal index row + col - 1; simple moves preserve it."""
-    return cell[0] + cell[1] - 1
 
 
 def _bit(cell: Cell, width: int) -> int:
@@ -192,7 +186,7 @@ def _closure(w: Permutation, simple_only: bool) -> tuple[frozenset, Polynomial]:
     outside = ~sum(((1 << (width - 1 - i)) - 1) << (i * width) for i in range(width))
     # per bit index: its cell, and the weight of one crossing in its row
     cell_at = [(i // width + 1, i % width + 1) for i in range(width * width)]
-    step_at = [u for r in range(1, width + 1) for u in (packing.unit(r),) * width]
+    step_at = [u for u in packing.units[1:] for _ in range(width)]
     seen = {d0}
     dreams = [bottom]
     weights = [wt0]

@@ -270,16 +270,16 @@ class _Packing:
     largest total degree they reach.
     """
 
-    __slots__ = ("nvars", "bits", "mask")
+    __slots__ = ("nvars", "bits", "mask", "units")
 
     def __init__(self, nvars: int, max_exponent: int):
         self.nvars = nvars
         self.bits = max(1, max_exponent.bit_length())
         self.mask = (1 << self.bits) - 1
-
-    def unit(self, i: int) -> int:
-        """The key of x_i."""
-        return 1 << self.bits * (self.nvars - i)
+        # units[i] is the key of x_i; units[0] = 0 adds nothing
+        self.units = (0,) + tuple(
+            1 << self.bits * (nvars - i) for i in range(1, nvars + 1)
+        )
 
     def pack(self, exps: Sequence[int]) -> int:
         """The key of the monomial with exponents ``exps``."""

@@ -320,6 +320,33 @@ def test_sweep_carries_the_code():
                 assert code == trim_zeros(lehmer_code(w)), w
 
 
+def reference_sweep(prefix, n):
+    # the walk with the child rule tested on each candidate: w = u s_i is a
+    # child of u when u(i) > u(i+1) and i is the first ascent >= 3 of w
+    def first_ascent(w):
+        return next((i for i in range(3, len(w)) if w[i - 1] < w[i]), None)
+
+    rest = sorted(set(range(1, n + 1)) - set(prefix), reverse=True)
+    stack, out = [tuple(prefix) + tuple(rest)], []
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        for i in range(3, n):
+            if u[i - 1] > u[i]:
+                w = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+                if first_ascent(w) == i:
+                    stack.append(w)
+    return out
+
+
+def test_sweep_children_match_the_first_ascent_rule():
+    for n in range(1, 8):
+        packing = correspondence._packing(n)
+        for prefix in correspondence._units(n):
+            walked = [w for w, _, _ in correspondence._sweep(prefix, n, packing)]
+            assert walked == reference_sweep(prefix, n), prefix
+
+
 def test_sweep_checks_leading_terms(monkeypatch):
     # a wrong divided difference must stop the run, not pass silently
     monkeypatch.setattr(
@@ -381,7 +408,7 @@ def test_bulk_verify_fills_no_cache():
         for value in vars(importlib.import_module(info.name)).values()
         if hasattr(value, "cache_info")
     }
-    assert len(caches) == 3
+    assert len(caches) == 2
     before = [cache.cache_info() for cache in caches.values()]
     verify_theorem(6)
     assert [cache.cache_info() for cache in caches.values()] == before

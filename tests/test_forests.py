@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forestry import forests
 from forestry.forests import (
     _layout,
     code_of_forest,
@@ -295,6 +296,67 @@ def test_labeling_constraints_enforced():
     assert not is_valid_labeling(forest, lab(1, 1, 2))  # chain must fall inward
     assert not is_valid_labeling(forest, lab(1, 2, 1))  # right child must rise
     assert not is_valid_labeling(forest, (1, 2))  # bad arity
+
+
+def reference_is_valid_labeling(forest, labeling):
+    # the rule read off the navigation: 1 <= f(v) <= rho(v), weakly up a
+    # left edge, strictly up a right edge
+    if len(labeling) != len(forest.vertices):
+        return False
+    value = dict(zip(forest.vertices, labeling))
+    for v in forest.vertices:
+        if not 1 <= value[v] <= v[0]:
+            return False
+        left = forest.left_child(v)
+        if left is not None and not value[v] <= value[left]:
+            return False
+        right = forest.right_child(v)
+        if right is not None and not value[v] < value[right]:
+            return False
+    return True
+
+
+def labeling_box(forest):
+    # every value from one below the range to one above it, at each vertex
+    return itertools.product(*(range(v[0] + 2) for v in forest.vertices))
+
+
+def test_labeling_rule_matches_the_navigation():
+    for n in range(1, 5):
+        for code in trimmed_codes(n):
+            forest = forest_from_code(code)
+            accepted = []
+            for lab in labeling_box(forest):
+                valid = is_valid_labeling(forest, lab)
+                assert valid == reference_is_valid_labeling(forest, lab), (code, lab)
+                if valid:
+                    accepted.append(lab)
+            assert set(accepted) == set(valid_labelings(forest)), code
+
+
+@given(codes(max_len=6, max_entry=3), st.data())
+def test_labeling_rule_matches_the_navigation_on_any_code(code, data):
+    forest = forest_from_code(code)
+    lab = data.draw(
+        st.tuples(*(st.integers(0, v[0] + 1) for v in forest.vertices)), label="labeling"
+    )
+    assert is_valid_labeling(forest, lab) == reference_is_valid_labeling(forest, lab)
+
+
+def test_a_built_forest_is_not_laid_out_again(monkeypatch):
+    forests._forest_from_code_cached.cache_clear()
+    forest = forest_from_code((2, 0, 3, 1, 0, 1))
+    calls = []
+
+    def counting_layout(code):
+        calls.append(code)
+        return _layout(code)
+
+    monkeypatch.setattr(forests, "_layout", counting_layout)
+    labelings = valid_labelings(forest)
+    assert forest_polynomial(forest) == forest_polynomial(forest)
+    assert all(is_valid_labeling(forest, lab) for lab in labelings)
+    assert calls == []
 
 
 # --- polynomials -----------------------------------------------------------------

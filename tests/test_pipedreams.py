@@ -15,7 +15,6 @@ from forestry.permutations import (
 from forestry.pipedreams import (
     all_pipe_dreams,
     bottom_pipe_dream,
-    diagonal,
     divided_difference,
     ladder_move,
     permutation_of,
@@ -42,12 +41,6 @@ def small_polys():
 
 
 # --- cells, words, reading -------------------------------------------------
-
-
-def test_diagonal():
-    assert diagonal((3, 1)) == 3
-    assert diagonal((1, 3)) == 3
-    assert diagonal((2, 2)) == 3
 
 
 def test_word_reads_rows_right_to_left():
@@ -112,6 +105,11 @@ def test_at_most_one_ladder_order_applies(w):
         for cell in dream:
             orders = [k for k in range(len(w) + 2) if ladder_move(dream, cell, k)]
             assert len(orders) <= 1
+
+
+def diagonal(cell):
+    # northeast diagonal index row + col - 1; simple moves preserve it
+    return cell[0] + cell[1] - 1
 
 
 @given(perms(5))

@@ -171,7 +171,7 @@ def test_packing_round_trip(p, more_vars, more_room):
 def test_packing_refuses_what_its_fields_cannot_hold():
     packing = _Packing(3, 5)  # three fields of 3 bits
     assert packing.pack((7, 0, 7)) == 7 << 6 | 7
-    assert packing.unit(3) == 1
+    assert packing.units[3] == 1
     with pytest.raises(RuntimeError):
         packing.pack((8,))
     with pytest.raises(RuntimeError):
