@@ -32,7 +32,6 @@ from .permutations import (
     FORBIDDEN_PATTERNS,
     PATTERN_1432,
     LehmerCode,
-    Permutation,
     format_permutation,
     lehmer_code,
     parse_permutation,
@@ -106,7 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--json", action="store_true")
     p.add_argument(
-        "--max-n", type=int, default=None, help=f"cap on n (default {DEFAULT_MAX_N})"
+        "--max-n",
+        type=int,
+        default=DEFAULT_MAX_N,
+        help=f"cap on n (default {DEFAULT_MAX_N})",
     )
     p.add_argument(
         "--jobs", type=int, default=None, help="worker processes (default: cpu count)"
@@ -114,31 +116,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_perm_arg(text: str) -> Permutation:
-    try:
-        return parse_permutation(text)
-    except ValueError as exc:
-        print(f"forestry: error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _parse_code_arg(text: str) -> LehmerCode:
     text = text.strip()
     if not text:
         return ()
     try:
-        code = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        print(f"forestry: error: cannot parse code {text!r}", file=sys.stderr)
-        raise SystemExit(1)
-    if any(c < 0 for c in code):
-        print("forestry: error: code entries must be nonnegative", file=sys.stderr)
-        raise SystemExit(1)
-    return code
+        raise ValueError(f"cannot parse code {text!r}") from None
 
 
 def _cmd_schubert(args) -> int:
-    w = _parse_perm_arg(args.perm)
+    w = parse_permutation(args.perm)
     poly = schubert(w)
     oracle: Optional[str] = None
     if args.oracle:
@@ -155,7 +144,7 @@ def _cmd_schubert(args) -> int:
 
 def _cmd_forest(args) -> int:
     if args.perm is not None:
-        code = lehmer_code(trim(_parse_perm_arg(args.perm)))
+        code = lehmer_code(trim(parse_permutation(args.perm)))
     else:
         code = _parse_code_arg(args.code)
     forest = forest_from_code(code)
@@ -176,7 +165,7 @@ def _id_text(vertex: tuple[int, int]) -> str:
 
 
 def _cmd_check(args) -> int:
-    w = _parse_perm_arg(args.perm)
+    w = parse_permutation(args.perm)
     hits = [
         (p, idx)
         for p in FORBIDDEN_PATTERNS
@@ -243,7 +232,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_pipedreams(args) -> int:
-    w = _parse_perm_arg(args.perm)
+    w = parse_permutation(args.perm)
     dreams = simple_closure(w) if args.simple_only else all_pipe_dreams(w)
     ordered = sorted(dreams, key=lambda d: (weight(d), sorted(d)))
     size = len(trim(w)) if trim(w) else 1
@@ -268,28 +257,11 @@ def _cmd_pipedreams(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    max_n = DEFAULT_MAX_N
-    env = os.environ.get("FORESTRY_MAX_N")
-    if env is not None:
-        try:
-            max_n = int(env)
-        except ValueError:
-            print(
-                f"forestry: error: FORESTRY_MAX_N={env!r} is not an integer",
-                file=sys.stderr,
-            )
-            return 1
-    if args.max_n is not None:
-        max_n = args.max_n
-    if not 1 <= args.n <= max_n:
-        print(
-            f"forestry: error: n must be between 1 and {max_n}", file=sys.stderr
-        )
-        return 1
+    if not 1 <= args.n <= args.max_n:
+        raise ValueError(f"n must be between 1 and {args.max_n}")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
-        print("forestry: error: --jobs must be at least 1", file=sys.stderr)
-        return 1
+        raise ValueError("--jobs must be at least 1")
 
     def progress(done: int, total: int) -> None:
         print(f"checked {done}/{total} permutations", file=sys.stderr, flush=True)
@@ -338,6 +310,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         status = _COMMANDS[args.command](args)
         sys.stdout.flush()
+    except ValueError as exc:
+        # malformed input: the library's message, on one line
+        print(f"forestry: error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader went away (``forestry ... | head``); point stdout at
         # devnull so the flush at interpreter exit cannot fail again

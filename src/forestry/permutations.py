@@ -15,7 +15,7 @@ points carry no meaning: ``(4, 1, 3, 2, 5)`` denotes the same value, and
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 Permutation = tuple[int, ...]
 LehmerCode = tuple[int, ...]
@@ -99,11 +99,14 @@ def lehmer_code(w: Permutation) -> LehmerCode:
     )
 
 
-def trim_zeros(code: LehmerCode) -> LehmerCode:
-    n = len(code)
-    while n > 0 and code[n - 1] == 0:
+def trim_zeros(entries: Iterable[int]) -> tuple[int, ...]:
+    """The entries as a tuple without trailing zeros: a Lehmer code, or a
+    monomial's exponents, in canonical form."""
+    t = tuple(entries)
+    n = len(t)
+    while n > 0 and t[n - 1] == 0:
         n -= 1
-    return tuple(code[:n])
+    return t[:n]
 
 
 def perm_from_code(code: LehmerCode) -> Permutation:

@@ -16,8 +16,9 @@ exhaustively through S_6).
 
 Inside this module a dream is also one int, a mask: cell (r, c) is bit
 (r - 1) * W + (c - 1) for a width W above every column, W = len(w) in a
-closure.  ``_move_target`` finds ladder moves on masks, ``_replay`` reads
-a mask's word back to its permutation, and the closure certifies every
+closure.  ``_open_moves`` finds the crossings that can move, ``_climb``
+carries the ladder starts up to where they land, ``_replay`` reads a
+mask's word back to its permutation, and the closure certifies every
 dream it finds by that replay.  One cache entry per permutation holds its
 dreams and its Schubert polynomial.
 """
@@ -34,7 +35,6 @@ from .polynomials import (
     Polynomial,
     _divided_difference,
     _Packing,
-    divided_difference,
     monomial_of,
 )
 
@@ -51,7 +51,6 @@ __all__ = [
     "simple_closure",
     "weight",
     "schubert",
-    "divided_difference",
     "schubert_divdiff",
     "render",
 ]
@@ -108,31 +107,6 @@ def bottom_pipe_dream(w: Permutation) -> PipeDream:
     )
 
 
-def _move_target(d: int, width: int, cell: Cell) -> Optional[tuple[int, Cell]]:
-    """The unique applicable ladder move at ``cell`` = (r, c) of mask ``d``,
-    as (order, target).
-
-    Scanning upward from (r, c): a row with both (r', c), (r', c+1) full
-    extends the ladder; the first row with both empty receives the crossing
-    (order = r - r' - 1); a mixed row blocks every order.  Hence at most one
-    order applies per cell.  Order 0 is the simple slide: (r-1, c),
-    (r-1, c+1) and (r, c+1) all empty.
-    """
-    r, c = cell
-    shift = (r - 1) * width + c - 1
-    if d >> (shift + 1) & 1:
-        return None
-    rr = r - 1
-    while rr >= 1:
-        shift -= width
-        pair = d >> shift & 3
-        if pair == 3:
-            rr -= 1
-            continue
-        return (r - rr - 1, (rr, c + 1)) if pair == 0 else None
-    return None
-
-
 def _open_moves(d: int, width: int) -> tuple[int, int]:
     """The crossings of mask ``d`` (width ``width``) that can move, as two
     masks: simple slides and ladder starts.  Of the crossings below row 1
@@ -144,18 +118,43 @@ def _open_moves(d: int, width: int) -> tuple[int, int]:
     return free & ~(up | up_right), free & up & up_right
 
 
+def _climb(d: int, width: int, starts: int) -> list[tuple[int, int]]:
+    """Where the ladder starts ``starts`` of mask ``d`` land, as (landed,
+    shift) pairs, one per row climbed: each crossing of ``landed`` moves
+    to bit >> (shift - 1), shift // width rows up and one column right, by
+    a move of order shift // width - 1.
+
+    The starts climb together.  At each higher row r', those with (r', c)
+    and (r', c+1) both empty land at (r', c+1), those with both full climb
+    on, and the rest, blocked by a mixed row or the top edge, drop out.
+    """
+    full = d & (d >> 1)
+    empty = ~(d | (d >> 1))
+    landings = []
+    shift = 2 * width
+    while starts:
+        landings.append((starts & (empty << shift), shift))
+        starts &= full << shift
+        shift += width
+    return landings
+
+
 def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
     """Apply the order-k ladder move at ``cell``; None when not applicable."""
     if cell not in cells:
         raise ValueError(f"{cell} is not a crossing of the pipe dream")
     width = 1 + max(c for _, c in cells)
-    found = _move_target(_mask(cells, width), width, cell)
-    if found is None or found[0] != k:
-        return None
-    moved = (cells - {cell}) | {found[1]}
-    if permutation_of(moved) != permutation_of(cells):
-        raise RuntimeError(f"ladder move at {cell} broke reducedness")
-    return frozenset(moved)
+    d, bit = _mask(cells, width), _bit(cell, width)
+    simple, ladders = _open_moves(d, width)
+    for landed, shift in [(simple, width), *_climb(d, width, ladders & bit)]:
+        # a move of order k climbs k + 1 rows
+        if landed & bit and shift // width == k + 1:
+            r, c = cell
+            moved = (cells - {cell}) | {(r - k - 1, c + 1)}
+            if permutation_of(moved) != permutation_of(cells):
+                raise RuntimeError(f"ladder move at {cell} broke reducedness")
+            return frozenset(moved)
+    return None
 
 
 def _closure(w: Permutation, simple_only: bool) -> tuple[frozenset, Polynomial]:
@@ -163,12 +162,13 @@ def _closure(w: Permutation, simple_only: bool) -> tuple[frozenset, Polynomial]:
     0 only when ``simple_only``), with their weight sum.
 
     Dreams are masks of width W = len(w), so cell (r, c) + W is (r + 1, c),
-    and ``_open_moves`` finds a dream's slides and ladder starts.  Every
-    new dream is certified, else RuntimeError: it
-    lies in the staircase r + c <= W, has l(w) crossings, and its reading
-    word replays to w.  The bottom dream's mask is checked against
-    ``bottom_pipe_dream``, and each other returned cell set is its parent's
-    with the one moved cell, so every cell set decodes a certified mask.
+    ``_open_moves`` finds a dream's slides and ladder starts, and ``_climb``
+    where the ladder starts land.  Every new dream is certified, else
+    RuntimeError: it lies in the staircase r + c <= W, has l(w) crossings,
+    and its reading word replays to w.  The bottom dream's mask is checked
+    against ``bottom_pipe_dream``, and each other returned cell set is its
+    parent's with the one moved cell, so every cell set decodes a certified
+    mask.
     Weights are packed monomials, decoded once per distinct weight.
     """
     w = trim(w)
@@ -193,37 +193,32 @@ def _closure(w: Permutation, simple_only: bool) -> tuple[frozenset, Polynomial]:
     stack = [(d0, wt0, bottom)]
     while stack:
         d, wt, cells = stack.pop()
-        moves = []
         simple, ladders = _open_moves(d, width)
-        while simple:
-            bit = simple & -simple
-            simple ^= bit
-            moves.append((bit, bit >> (width - 1)))
         if simple_only:
             ladders = 0
-        while ladders:
-            bit = ladders & -ladders
-            ladders ^= bit
-            found = _move_target(d, width, cell_at[bit.bit_length() - 1])
-            if found is not None:
-                moves.append((bit, _bit(found[1], width)))
-        for bit, target in moves:
-            moved = d ^ bit ^ target
-            if moved in seen:
-                continue
-            if (
-                moved & outside
-                or moved.bit_count() != n_inv
-                or _replay(moved, width, width) != w
-            ):
-                raise RuntimeError(f"ladder move in a dream of {w} broke reducedness")
-            seen.add(moved)
-            i, j = bit.bit_length() - 1, target.bit_length() - 1
-            moved_cells = (cells - {cell_at[i]}) | {cell_at[j]}
-            moved_wt = wt - step_at[i] + step_at[j]
-            dreams.append(moved_cells)
-            weights.append(moved_wt)
-            stack.append((moved, moved_wt, moved_cells))
+        for landed, shift in [(simple, width), *_climb(d, width, ladders)]:
+            while landed:
+                bit = landed & -landed
+                landed ^= bit
+                target = bit >> (shift - 1)
+                moved = d ^ bit ^ target
+                if moved in seen:
+                    continue
+                if (
+                    moved & outside
+                    or moved.bit_count() != n_inv
+                    or _replay(moved, width, width) != w
+                ):
+                    raise RuntimeError(
+                        f"ladder move in a dream of {w} broke reducedness"
+                    )
+                seen.add(moved)
+                i, j = bit.bit_length() - 1, target.bit_length() - 1
+                moved_cells = (cells - {cell_at[i]}) | {cell_at[j]}
+                moved_wt = wt - step_at[i] + step_at[j]
+                dreams.append(moved_cells)
+                weights.append(moved_wt)
+                stack.append((moved, moved_wt, moved_cells))
     return frozenset(dreams), packing.decode(Counter(weights))
 
 

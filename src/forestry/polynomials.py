@@ -20,23 +20,16 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+from .permutations import trim_zeros
+
 Monomial = tuple[int, ...]
 
 __all__ = [
     "Monomial",
     "Polynomial",
-    "trim_exponents",
     "monomial_of",
     "divided_difference",
 ]
-
-
-def trim_exponents(exps: Iterable[int]) -> Monomial:
-    t = tuple(exps)
-    n = len(t)
-    while n > 0 and t[n - 1] == 0:
-        n -= 1
-    return t[:n]
 
 
 def monomial_of(indices: Sequence[int]) -> Monomial:
@@ -70,7 +63,7 @@ class Polynomial:
             for exps, coeff in terms.items():
                 if coeff == 0:
                     continue
-                exps = trim_exponents(exps)
+                exps = trim_zeros(exps)
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
                 clean[exps] = clean.get(exps, 0) + coeff
@@ -179,7 +172,7 @@ class Polynomial:
         return len(self._terms)
 
     def coefficient(self, exps: Iterable[int]) -> int:
-        return self._terms.get(trim_exponents(exps), 0)
+        return self._terms.get(trim_zeros(exps), 0)
 
     def items(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical order (exponent vectors descending)."""
@@ -222,25 +215,6 @@ class Polynomial:
         return [
             {"coeff": coeff, "exps": list(exps)} for exps, coeff in self.items()
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj: object) -> "Polynomial":
-        if not isinstance(obj, list):
-            raise ValueError("polynomial JSON must be a list of terms")
-        terms: dict[Monomial, int] = {}
-        for entry in obj:
-            if not isinstance(entry, dict) or set(entry) != {"coeff", "exps"}:
-                raise ValueError(f"bad polynomial term {entry!r}")
-            coeff, exps = entry["coeff"], entry["exps"]
-            if not isinstance(coeff, int) or not isinstance(exps, list):
-                raise ValueError(f"bad polynomial term {entry!r}")
-            if not all(isinstance(e, int) and e >= 0 for e in exps):
-                raise ValueError(f"bad exponents {exps!r}")
-            key = trim_exponents(exps)
-            if key in terms:
-                raise ValueError(f"duplicate monomial {exps!r}")
-            terms[key] = coeff
-        return cls(terms)
 
 
 def _coerce(value: Union[Polynomial, int]) -> Polynomial:

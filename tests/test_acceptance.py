@@ -28,6 +28,7 @@ from forestry.permutations import (
     contains_pattern,
     insert,
     lehmer_code,
+    trim_zeros,
 )
 from forestry.pipedreams import (
     all_pipe_dreams,
@@ -36,7 +37,7 @@ from forestry.pipedreams import (
     simple_closure,
     weight,
 )
-from forestry.polynomials import Polynomial, trim_exponents
+from forestry.polynomials import Polynomial
 
 x = Polynomial.variable
 
@@ -154,7 +155,7 @@ def _label_weight(labeling) -> tuple[int, ...]:
     exps = [0] * max(labeling, default=0)
     for value in labeling:
         exps[value - 1] += 1
-    return trim_exponents(exps)
+    return trim_zeros(exps)
 
 
 @acceptance(8, "labeling map is injective, weight-true, with the right image")
@@ -179,7 +180,7 @@ def test_leading_monomials_recover_codes():
     for n in range(1, 7):
         for w in all_permutations(n):
             code = lehmer_code(w)
-            assert schubert(w).leading_monomial() == trim_exponents(code)
+            assert schubert(w).leading_monomial() == trim_zeros(code)
             forest = forest_from_code(code)
             poly = forest_polynomial(forest)
             assert poly.leading_monomial() == code_of_forest(forest)

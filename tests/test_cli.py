@@ -5,7 +5,6 @@ from forestry import cli
 from forestry.cli import main
 from forestry.forests import forest_from_code, forest_to_json
 from forestry.pipedreams import schubert
-from forestry.polynomials import Polynomial
 
 
 def run(capsys, *argv):
@@ -16,6 +15,17 @@ def run(capsys, *argv):
         code = stop.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def input_error(capsys, *argv):
+    # malformed input: exit 1, nothing on stdout, one error line, no traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("forestry: error: ")
+    return line
 
 
 # --- schubert -----------------------------------------------------------------
@@ -50,14 +60,17 @@ def test_schubert_json(capsys):
 
 def test_schubert_json_round_trips(capsys):
     _, out, _ = run(capsys, "schubert", "41532", "--json")
-    assert Polynomial.from_json_obj(json.loads(out)) == schubert((4, 1, 5, 3, 2))
+    assert json.loads(out) == schubert((4, 1, 5, 3, 2)).to_json_obj()
 
 
 def test_schubert_parse_error(capsys):
-    code, out, err = run(capsys, "schubert", "41x2")
-    assert code == 1
-    assert out == ""
-    assert "error" in err
+    expected = "forestry: error: cannot parse permutation '41x2'"
+    for command in ["schubert", "check", "pipedreams"]:
+        assert input_error(capsys, command, "41x2") == expected
+    assert input_error(capsys, "schubert", "") == "forestry: error: empty permutation"
+    assert input_error(capsys, "check", "1123") == (
+        "forestry: error: '1123' is not a rearrangement of 1..4"
+    )
 
 
 # --- forest ---------------------------------------------------------------------
@@ -90,8 +103,15 @@ def test_forest_requires_exactly_one_source(capsys):
 
 
 def test_forest_rejects_bad_code(capsys):
-    assert run(capsys, "forest", "--code", "1,x")[0] == 1
-    assert run(capsys, "forest", "--code", "1,-2")[0] == 1
+    assert input_error(capsys, "forest", "--code", "1,x") == (
+        "forestry: error: cannot parse code '1,x'"
+    )
+    assert input_error(capsys, "forest", "--code", "1,-2") == (
+        "forestry: error: code entries must be nonnegative"
+    )
+    assert input_error(capsys, "forest", "--perm", "12x") == (
+        "forestry: error: cannot parse permutation '12x'"
+    )
 
 
 def test_forest_deep_code(capsys):
@@ -227,11 +247,14 @@ def test_verify_json(capsys):
 
 
 def test_verify_range_checks(capsys):
-    assert run(capsys, "verify", "0")[0] == 1
-    assert run(capsys, "verify", "8")[0] == 1
-    assert run(capsys, "verify", "4", "--max-n", "3")[0] == 1
+    out_of_range = "forestry: error: n must be between 1 and "
+    assert input_error(capsys, "verify", "0") == out_of_range + "7"
+    assert input_error(capsys, "verify", "8") == out_of_range + "7"
+    assert input_error(capsys, "verify", "4", "--max-n", "3") == out_of_range + "3"
     assert run(capsys, "verify", "4", "--max-n", "4")[0] == 0
-    assert run(capsys, "verify", "2", "--jobs", "0")[0] == 1
+    assert input_error(capsys, "verify", "2", "--jobs", "0") == (
+        "forestry: error: --jobs must be at least 1"
+    )
 
 
 def test_verify_worker_crash_exits_1(capsys, monkeypatch):
@@ -244,15 +267,6 @@ def test_verify_worker_crash_exits_1(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("forestry: error: ")
     assert "Traceback" not in err
-
-
-def test_verify_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("FORESTRY_MAX_N", "3")
-    assert run(capsys, "verify", "4")[0] == 1
-    # an explicit flag outranks the environment
-    assert run(capsys, "verify", "4", "--max-n", "4")[0] == 0
-    monkeypatch.setenv("FORESTRY_MAX_N", "banana")
-    assert run(capsys, "verify", "2")[0] == 1
 
 
 # --- dispatch --------------------------------------------------------------------

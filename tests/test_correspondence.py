@@ -32,7 +32,6 @@ from forestry.polynomials import Polynomial, monomial_of
 from forestry.pipedreams import (
     _bit,
     _mask,
-    _move_target,
     all_pipe_dreams,
     ladder_move,
     schubert,
@@ -203,11 +202,33 @@ def test_bad_pair_exists_iff_expansion_differs():
 
 
 def reference_slide(d, width, cell):
-    # the order-0 ladder move at one cell: its target and the mask after it
-    found = _move_target(d, width, cell)
-    if found is None or found[0] != 0:
+    # the order-0 ladder move at one cell of mask d: its target and the mask
+    # after it, when (r, c+1), (r-1, c) and (r-1, c+1) are all empty
+    r, c = cell
+    target = (r - 1, c + 1)
+    if r == 1 or any(d & _bit(x, width) for x in [(r, c + 1), (r - 1, c), target]):
         return None
-    return found[1], d ^ _bit(cell, width) ^ _bit(found[1], width)
+    return target, d ^ _bit(cell, width) ^ _bit(target, width)
+
+
+def test_reference_slide_is_the_order_zero_move():
+    bottom = frozenset({(1, 1), (1, 2), (1, 3), (3, 1)})
+    d = _mask(bottom, 4)
+    slid = bottom - {(3, 1)} | {(2, 2)}
+    assert reference_slide(d, 4, (3, 1)) == ((2, 2), _mask(slid, 4))
+    assert reference_slide(d, 4, (1, 3)) is None
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            for dream in all_pipe_dreams(w):
+                d = _mask(dream, n)
+                for cell in dream:
+                    slid = reference_slide(d, n, cell)
+                    moved = ladder_move(dream, cell, 0)
+                    if slid is None:
+                        assert moved is None, (dream, cell)
+                    else:
+                        assert moved == dream - {cell} | {slid[0]}, (dream, cell)
+                        assert slid[1] == _mask(moved, n)
 
 
 def reference_bad_pair(w):

@@ -59,6 +59,13 @@ def test_trim_strips_trailing_fixed_points():
     assert trim((2, 1, 3)) == (2, 1)
 
 
+def test_trim_zeros():
+    assert trim_zeros((3, 1, 0, 0)) == (3, 1)
+    assert trim_zeros([0, 2, 0]) == (0, 2)
+    assert trim_zeros(()) == ()
+    assert trim_zeros((0,)) == ()
+
+
 def test_inverse_fixture():
     assert inverse((4, 1, 5, 3, 2)) == (2, 5, 4, 1, 3)
 

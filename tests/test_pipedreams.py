@@ -15,7 +15,6 @@ from forestry.permutations import (
 from forestry.pipedreams import (
     all_pipe_dreams,
     bottom_pipe_dream,
-    divided_difference,
     ladder_move,
     permutation_of,
     render,
@@ -24,7 +23,7 @@ from forestry.pipedreams import (
     simple_closure,
     weight,
 )
-from forestry.polynomials import Polynomial
+from forestry.polynomials import Polynomial, divided_difference
 
 x = Polynomial.variable
 
@@ -125,6 +124,82 @@ def test_ladder_moves_preserve_reducedness_and_shift_diagonal(w):
                 assert diagonal(new_cell) == diagonal(cell) - k
 
 
+def reference_move(d, width, cell):
+    """The one ladder move at crossing ``cell`` = (r, c) of mask ``d``, as
+    (order, target), found by scanning up from the cell: a row with both
+    (r', c), (r', c+1) full extends the ladder, the first row with both
+    empty receives the crossing (order r - r' - 1), and a mixed row blocks
+    every order.  Order 0 is the simple slide."""
+    r, c = cell
+    shift = (r - 1) * width + c - 1
+    if d >> (shift + 1) & 1:
+        return None
+    rr = r - 1
+    while rr >= 1:
+        shift -= width
+        pair = d >> shift & 3
+        if pair == 3:
+            rr -= 1
+            continue
+        return (r - rr - 1, (rr, c + 1)) if pair == 0 else None
+    return None
+
+
+def whole_mask_moves(d, width):
+    # every move of mask d, as cell -> (order, target), from the two masks
+    # of _open_moves and the landings of _climb
+    def cell_of(bit):
+        i = bit.bit_length() - 1
+        return i // width + 1, i % width + 1
+
+    simple, ladders = pipedreams._open_moves(d, width)
+    found = {}
+    for landed, shift in [(simple, width), *pipedreams._climb(d, width, ladders)]:
+        while landed:
+            bit = landed & -landed
+            landed ^= bit
+            assert cell_of(bit) not in found
+            found[cell_of(bit)] = (shift // width - 1, cell_of(bit >> (shift - 1)))
+    return found
+
+
+def check_moves_match_the_scan(cells, width):
+    d = pipedreams._mask(cells, width)
+    expected = {}
+    for cell in cells:
+        move = reference_move(d, width, cell)
+        if move is not None:
+            expected[cell] = move
+    assert whole_mask_moves(d, width) == expected, sorted(cells)
+    return expected
+
+
+def test_whole_mask_moves_match_the_per_cell_scan():
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            for dream in all_pipe_dreams(w):
+                moves = check_moves_match_the_scan(dream, n)
+                # ladder_move, on masks of its own width, agrees
+                for cell in dream:
+                    order, target = moves.get(cell, (0, None))
+                    expected = None if target is None else dream - {cell} | {target}
+                    assert ladder_move(dream, cell, order) == expected
+
+
+@st.composite
+def staircase_masks(draw):
+    n = draw(st.integers(2, 8))
+    staircase = [(r, c) for r in range(1, n) for c in range(1, n - r + 1)]
+    return draw(st.sets(st.sampled_from(staircase))), n
+
+
+@settings(max_examples=300)
+@given(staircase_masks())
+def test_whole_mask_moves_match_the_scan_on_any_staircase_mask(case):
+    cells, n = case
+    check_moves_match_the_scan(cells, n)
+
+
 # --- enumeration ---------------------------------------------------------------
 
 
@@ -174,17 +249,13 @@ def test_closure_matches_every_reduced_subset_of_the_staircase():
 
 
 def test_closure_certifies_every_move(monkeypatch):
-    # a move primitive that lands one column off must stop the closure
-    move_target = pipedreams._move_target
+    # a climb whose crossings land one column off must stop the closure
+    climb = pipedreams._climb
 
-    def one_column_off(d, width, cell):
-        found = move_target(d, width, cell)
-        if found is None:
-            return None
-        order, (rr, cc) = found
-        return order, (rr, cc + 1)
+    def one_column_off(d, width, starts):
+        return [(landed, shift - 1) for landed, shift in climb(d, width, starts)]
 
-    monkeypatch.setattr(pipedreams, "_move_target", one_column_off)
+    monkeypatch.setattr(pipedreams, "_climb", one_column_off)
     with pytest.raises(RuntimeError):
         pipedreams._closure((1, 4, 3, 2), simple_only=False)
 
