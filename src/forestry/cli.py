@@ -14,10 +14,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
 
 from .correspondence import (
+    WorkerDied,
+    _usable_cpus,
     find_bad_pair,
     is_forest_by_expansion,
     verify_theorem,
@@ -111,7 +112,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"cap on n (default {DEFAULT_MAX_N})",
     )
     p.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: cpu count)"
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes (default: the CPUs this process may use)",
     )
     return parser
 
@@ -259,21 +263,14 @@ def _cmd_pipedreams(args) -> int:
 def _cmd_verify(args) -> int:
     if not 1 <= args.n <= args.max_n:
         raise ValueError(f"n must be between 1 and {args.max_n}")
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else _usable_cpus()
     if jobs < 1:
         raise ValueError("--jobs must be at least 1")
 
     def progress(done: int, total: int) -> None:
         print(f"checked {done}/{total} permutations", file=sys.stderr, flush=True)
 
-    try:
-        report = verify_theorem(args.n, jobs=jobs, progress=progress)
-    except BrokenProcessPool:
-        print(
-            "forestry: error: a worker process died before verify finished",
-            file=sys.stderr,
-        )
-        return 1
+    report = verify_theorem(args.n, jobs=jobs, progress=progress)
     trouble = report.disagreements or report.badpair_disagreements
     if args.json:
         print(json.dumps(report.to_json_obj()))
@@ -310,8 +307,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         status = _COMMANDS[args.command](args)
         sys.stdout.flush()
-    except ValueError as exc:
-        # malformed input: the library's message, on one line
+    except (ValueError, WorkerDied) as exc:
+        # malformed input or a dead verify worker: the library's message,
+        # on one line
         print(f"forestry: error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

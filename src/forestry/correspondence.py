@@ -19,6 +19,9 @@ that identification:
   Schubert polynomial from a neighbour by one divided difference instead of
   a pipe-dream closure, both pattern verdicts from one table of the
   avoiders of S_(n-1), and each forest from the one-pass code layout.
+  ``concurrent.futures`` is imported only when a run starts a process
+  pool, so importing this module, or running ``verify`` serially, never
+  loads the pool and the multiprocessing machinery behind it.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ import operator
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .forests import (
     Labeling,
@@ -72,6 +73,7 @@ __all__ = [
     "is_forest_by_pattern",
     "is_forest_by_expansion",
     "VerifyReport",
+    "WorkerDied",
     "verify_theorem",
 ]
 
@@ -101,8 +103,7 @@ def labeling_to_pipe_dream(w: Permutation, labeling: Labeling) -> PipeDream:
     return frozenset(replay_simple_moves(w, moves).values())
 
 
-@dataclass(frozen=True)
-class BadPair:
+class BadPair(NamedTuple):
     """A parent crossing whose right child can climb to its row.
 
     ``moves`` replays from the bottom pipe dream: each entry is the id of
@@ -206,8 +207,7 @@ def is_forest_by_expansion(w: Permutation) -> bool:
     return schubert(w) == forest_polynomial(forest_from_code(lehmer_code(w)))
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Counts and disagreement lists of a verification run.  The fields
     between ``n`` and ``elapsed_ms`` are tallies: a batch starts from their
     defaults and batches merge by adding them."""
@@ -223,19 +223,17 @@ class VerifyReport:
 
     def to_json_obj(self) -> dict:
         return {
-            f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
-            for f in fields(self)
+            name: list(v) if isinstance(v, tuple) else v
+            for name, v in zip(self._fields, self)
         }
 
 
 def _tallies() -> dict:
     """A unit's counts before it has seen any permutation: the tally
     fields of VerifyReport at their defaults."""
-    return {
-        f.name: f.default
-        for f in fields(VerifyReport)
-        if f.name not in ("n", "elapsed_ms")
-    }
+    defaults = dict(VerifyReport._field_defaults)
+    del defaults["elapsed_ms"]
+    return defaults
 
 
 def _units(n: int) -> list[Permutation]:
@@ -333,10 +331,37 @@ def _verify_unit(prefix: Permutation, n: int, table: dict[Permutation, int]) -> 
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, so that taskset and cpusets count, else the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(jobs: int, units: int) -> int:
     """Processes worth starting: no more than asked for, than there are
-    units to hand out, or than there are CPUs."""
-    return max(1, min(jobs, units, os.cpu_count() or 1))
+    units to hand out, or than there are usable CPUs."""
+    return max(1, min(jobs, units, _usable_cpus()))
+
+
+class WorkerDied(RuntimeError):
+    """A worker process of a ``verify_theorem`` run died (killed, or out of
+    memory) before the run finished."""
+
+
+# a pool worker's run: (n, avoider table), set once by _start_worker
+_worker_run: tuple[int, dict[Permutation, int]] = (0, {})
+
+
+def _start_worker(n: int, table: dict[Permutation, int]) -> None:
+    global _worker_run
+    _worker_run = (n, table)
+
+
+def _worker_unit(prefix: Permutation) -> dict:
+    n, table = _worker_run
+    return _verify_unit(prefix, n, table)
 
 
 def verify_theorem(
@@ -352,6 +377,7 @@ def verify_theorem(
     order); ``progress(done, total)`` fires after each unit.  Schubert
     polynomials come from the divided-difference sweep, and pattern
     verdicts from a table of the avoiders of S_(n-1) built once per run.
+    Raises ``WorkerDied`` when a worker process dies.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -372,11 +398,18 @@ def verify_theorem(
         for prefix in units:
             absorb(_verify_unit(prefix, n, table))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(
-                _verify_unit, units, itertools.repeat(n), itertools.repeat(table)
-            ):
-                absorb(result)
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        # the table goes to each worker once, not once per unit
+        try:
+            with ProcessPoolExecutor(
+                max_workers=jobs, initializer=_start_worker, initargs=(n, table)
+            ) as pool:
+                for result in pool.map(_worker_unit, units):
+                    absorb(result)
+        except BrokenProcessPool as exc:
+            raise WorkerDied("a worker process died before verify finished") from exc
 
     return VerifyReport(
         n=n, elapsed_ms=int((time.monotonic() - started) * 1000), **merged

@@ -21,7 +21,6 @@ code's layout and, once computed, its forest polynomial.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .permutations import _CACHE_SIZE, LehmerCode, trim_zeros
@@ -44,14 +43,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class IndexedForest:
+    """An immutable forest.  Equality, hash and repr are over (code,
+    vertices, covers); ``steps`` is derived from the code."""
+
     code: LehmerCode
     vertices: tuple[Vertex, ...]  # sorted (rho, ordinal)
     covers: tuple[tuple[Vertex, Vertex], ...]  # (parent, right child), sorted
     # _layout(code)'s labeling steps, the one statement of the structure
     # that parent(), roots(), the labeling rule and the polynomial read
-    steps: tuple[tuple[int, int, int, int], ...] = field(compare=False, repr=False)
+    steps: tuple[tuple[int, int, int, int], ...]
+
+    def __init__(self, code, vertices, covers, steps) -> None:
+        # assignment is refused, so this and the cached properties below
+        # write to the instance dict directly
+        self.__dict__.update(code=code, vertices=vertices, covers=covers, steps=steps)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of IndexedForest")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of IndexedForest")
+
+    def _key(self) -> tuple:
+        return (self.code, self.vertices, self.covers)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"IndexedForest(code={self.code!r}, vertices={self.vertices!r},"
+            f" covers={self.covers!r})"
+        )
 
     @functools.cached_property
     def _right_child(self) -> dict[Vertex, Vertex]:

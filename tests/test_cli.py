@@ -1,7 +1,10 @@
 import json
-from concurrent.futures.process import BrokenProcessPool
+import multiprocessing
+import os
 
-from forestry import cli
+import pytest
+
+from forestry import cli, correspondence
 from forestry.cli import main
 from forestry.forests import forest_from_code, forest_to_json
 from forestry.pipedreams import schubert
@@ -259,7 +262,7 @@ def test_verify_range_checks(capsys):
 
 def test_verify_worker_crash_exits_1(capsys, monkeypatch):
     def crash(*args, **kwargs):
-        raise BrokenProcessPool("a worker died")
+        raise correspondence.WorkerDied("a worker died")
 
     monkeypatch.setattr(cli, "verify_theorem", crash)
     code, out, err = run(capsys, "verify", "4")
@@ -267,6 +270,25 @@ def test_verify_worker_crash_exits_1(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("forestry: error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit the patched unit only when forked",
+)
+def test_verify_real_worker_death_exits_1(capsys, monkeypatch):
+    # every unit kills its worker outright, so the pool breaks for real
+    def die(*args):
+        os._exit(3)
+
+    monkeypatch.setattr(correspondence, "_verify_unit", die)
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
+    code, out, err = run(capsys, "verify", "4", "--jobs", "2")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "forestry: error: a worker process died before verify finished"
+    ]
 
 
 # --- dispatch --------------------------------------------------------------------

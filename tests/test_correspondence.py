@@ -447,7 +447,9 @@ REPORT_FIELDS = (
 
 
 def test_verify_parallel_merge_matches_serial(monkeypatch):
-    # S_4 has 12 units, so jobs=2 starts a pool
+    # S_4 has 12 units, so jobs=2 starts a pool, also where this process
+    # may use only one CPU
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
     serial = verify_theorem(4)
     parallel = verify_theorem(4, jobs=2)
     for field in REPORT_FIELDS:
@@ -465,16 +467,27 @@ def test_verify_parallel_merge_matches_serial(monkeypatch):
 
 
 def test_worker_count_is_clamped(monkeypatch):
-    monkeypatch.setattr(correspondence.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
     assert correspondence._worker_count(5000, 6) == 2
     assert correspondence._worker_count(5000, 1) == 1
     assert correspondence._worker_count(2, 6) == 2
     assert correspondence._worker_count(1, 10**6) == 1
-    monkeypatch.setattr(correspondence.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 64)
     assert correspondence._worker_count(5000, 6) == 6
     assert correspondence._worker_count(10**9, 10**9) == 64
+
+
+def test_usable_cpus_reads_the_affinity_set(monkeypatch):
+    # the CPUs this process may run on, not the machine's, where known
+    monkeypatch.setattr(correspondence.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(
+        correspondence.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False
+    )
+    assert correspondence._usable_cpus() == 3
+    monkeypatch.delattr(correspondence.os, "sched_getaffinity", raising=False)
+    assert correspondence._usable_cpus() == 64
     monkeypatch.setattr(correspondence.os, "cpu_count", lambda: None)
-    assert correspondence._worker_count(5000, 6) == 1
+    assert correspondence._usable_cpus() == 1
 
 
 @pytest.mark.extended
@@ -513,3 +526,20 @@ def test_verify_report_json_shape():
     ]
     assert obj["disagreements"] == []
     assert obj["badpair_disagreements"] == []
+
+
+def test_report_and_witness_refuse_assignment():
+    report = verify_theorem(3)
+    bad = find_bad_pair((2, 4, 1, 3))
+    for obj, name in ((report, "total"), (bad, "moves")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    # a unit starts from the tally fields' defaults
+    assert correspondence._tallies() == {
+        "total": 0,
+        "pattern_positive": 0,
+        "expansion_positive": 0,
+        "disagreements": (),
+        "badpair_checked": 0,
+        "badpair_disagreements": (),
+    }

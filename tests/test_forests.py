@@ -93,6 +93,27 @@ def test_code_trimming_and_validation():
         forest_from_code((1, -2))
 
 
+def test_forest_is_an_immutable_value():
+    forest = forest_from_code((3, 0, 1))
+    assert repr(forest) == (
+        "IndexedForest(code=(3, 0, 1), vertices=((1, 1), (1, 2), (1, 3), (3, 1)),"
+        " covers=(((1, 2), (3, 1)),))"
+    )
+    # steps are derived from the code, so ==, hash and repr leave them out
+    twin = forests.IndexedForest(forest.code, forest.vertices, forest.covers, steps=())
+    assert twin == forest
+    assert hash(twin) == hash(forest)
+    assert forest != forest_from_code((3,))
+    assert forest != (forest.code, forest.vertices, forest.covers)
+    with pytest.raises(AttributeError):
+        forest.code = ()
+    with pytest.raises(AttributeError):
+        del forest.covers
+    # the cached properties still fill in
+    assert forest_polynomial(forest) == x(1) ** 3 * x(2) + x(1) ** 3 * x(3)
+    assert forest.right_child((1, 2)) == (3, 1)
+
+
 @given(codes())
 def test_code_round_trip(code):
     forest = forest_from_code(code)

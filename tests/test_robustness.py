@@ -13,12 +13,16 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def cli(*argv, optimize=False, **popen):
+def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def cli(*argv, optimize=False, **popen):
     flags = ["-O"] if optimize else []
     return subprocess.Popen(
-        [sys.executable, *flags, "-m", "forestry.cli", *argv], env=env, **popen
+        [sys.executable, *flags, "-m", "forestry.cli", *argv], env=src_env(), **popen
     )
 
 
@@ -98,3 +102,25 @@ def test_closed_stdout_exits_quietly():
     assert first == b"2527 pipe dreams for 15387642\n"
     assert b"Traceback" not in err
     assert err == b""
+
+
+def test_serial_verify_loads_no_pool_and_no_dataclasses():
+    # start-up cost: a serial run must not import the process pool (and the
+    # multiprocessing, pickle and socket modules behind it) or dataclasses
+    # (and inspect behind it)
+    script = (
+        "import sys\n"
+        "from forestry.cli import main\n"
+        "status = main(['verify', '5', '--jobs', '1', '--json'])\n"
+        "heavy = ('concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect')\n"
+        "print(status, sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
