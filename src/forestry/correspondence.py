@@ -17,7 +17,7 @@ that identification:
 - ``verify_theorem`` checks, over all of S_n, that the pattern test and the
   polynomial-equality test give the same verdict.  In bulk it gets each
   Schubert polynomial from a neighbour by one divided difference instead of
-  a pipe-dream closure, both pattern verdicts from one table of the
+  a pipe-dream sum, both pattern verdicts from one table of the
   avoiders of S_(n-1), and each forest from the one-pass code layout.
   ``concurrent.futures`` is imported only when a run starts a process
   pool, so importing this module, or running ``verify`` serially, never

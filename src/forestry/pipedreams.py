@@ -9,27 +9,35 @@ permutation through ascents only — that is what "reduced" means here, and
 
 The bottom pipe dream of w left-justifies lehmer_code(w): row i holds its
 first code(i) cells.  Every other reduced pipe dream for w arises from it
-by ladder moves; ``all_pipe_dreams`` takes the closure under moves of every
-order, ``simple_closure`` under order-0 moves only.  The two closures agree
-exactly when w avoids the pattern 1432 (a property the test suite checks
-exhaustively through S_6).
+by ladder moves (Bergeron-Billey); ``simple_closure`` takes the closure
+under order-0 moves only, which reaches every dream exactly when w avoids
+the pattern 1432 (a property the test suite checks exhaustively through
+S_6).  ``all_pipe_dreams`` and ``schubert`` climb no ladders: ``_transfer``
+expands the nilCoxeter product row by row (Fomin-Stanley), ``_rows`` lists
+the letter sets the next row can add to the permutation read so far, and
+the rows that complete one such line are built once for every prefix that
+reaches it.  The test suite keeps the closure under ladder moves of every
+order as the reference for the transfer.
 
-Inside this module a dream is also one int, a mask: cell (r, c) is bit
-(r - 1) * W + (c - 1) for a width W above every column, W = len(w) in a
-closure.  ``_open_moves`` finds the crossings that can move, ``_climb``
-carries the ladder starts up to where they land, ``_replay`` reads a
-mask's word back to its permutation, and the closure certifies every
-dream it finds by that replay.  One cache entry per permutation holds its
-dreams and its Schubert polynomial.
+Inside this module a dream is also one int, a mask.  In the order-0
+closure and ``ladder_move``, cell (r, c) is bit (r - 1) * W + (c - 1) for
+a width W above every column, W = len(w); ``_open_moves`` finds the
+crossings that can move, ``_climb`` carries ladder starts up to where they
+land, and ``_replay`` reads a mask's word back to its permutation.  The
+transfer's masks index a crossing by its row and its letter instead.  Both
+certify every dream they return with explicit checks that raise
+RuntimeError.  One cache entry per permutation holds its dreams and its
+Schubert polynomial.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
+from itertools import compress
 from typing import Optional
 
-from .permutations import _CACHE_SIZE, Permutation, lehmer_code, trim
+from .permutations import _CACHE_SIZE, Permutation, inverse, lehmer_code, trim
 from .polynomials import (
     Monomial,
     Polynomial,
@@ -157,84 +165,200 @@ def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
     return None
 
 
-def _closure(w: Permutation, simple_only: bool) -> tuple[frozenset, Polynomial]:
-    """The dreams of w reachable from the bottom one by ladder moves (order
-    0 only when ``simple_only``), with their weight sum.
+def _closure(w: Permutation) -> frozenset:
+    """The dreams of w reachable from the bottom one by order-0 moves.
 
     Dreams are masks of width W = len(w), so cell (r, c) + W is (r + 1, c),
-    ``_open_moves`` finds a dream's slides and ladder starts, and ``_climb``
-    where the ladder starts land.  Every new dream is certified, else
-    RuntimeError: it lies in the staircase r + c <= W, has l(w) crossings,
-    and its reading word replays to w.  The bottom dream's mask is checked
-    against ``bottom_pipe_dream``, and each other returned cell set is its
-    parent's with the one moved cell, so every cell set decodes a certified
-    mask.
-    Weights are packed monomials, decoded once per distinct weight.
+    and ``_open_moves`` finds a dream's simple slides.  Every new dream is
+    certified, else RuntimeError: it lies in the staircase r + c <= W, has
+    l(w) crossings, and its reading word replays to w.  The bottom dream's
+    mask is checked against ``bottom_pipe_dream``, and each other returned
+    cell set is its parent's with the one moved cell, so every cell set
+    decodes a certified mask.
     """
     w = trim(w)
     width = max(len(w), 1)  # the identity's one empty dream still gets a row
     code = lehmer_code(w)
     n_inv = sum(code)
-    packing = _Packing(width, width - 1)  # row r holds at most W - r crossings
     bottom = bottom_pipe_dream(w)
-    wt0 = packing.pack(code)
     d0 = 0
     for i, k in enumerate(code):
         d0 |= ((1 << k) - 1) << (i * width)
     if d0 != _mask(bottom, width) or _replay(d0, width, width) != w:
         raise RuntimeError(f"bottom pipe dream of {w} is wrong")
     outside = ~sum(((1 << (width - 1 - i)) - 1) << (i * width) for i in range(width))
-    # per bit index: its cell, and the weight of one crossing in its row
     cell_at = [(i // width + 1, i % width + 1) for i in range(width * width)]
-    step_at = [u for u in packing.units[1:] for _ in range(width)]
     seen = {d0}
     dreams = [bottom]
-    weights = [wt0]
-    stack = [(d0, wt0, bottom)]
+    stack = [(d0, bottom)]
     while stack:
-        d, wt, cells = stack.pop()
-        simple, ladders = _open_moves(d, width)
-        if simple_only:
-            ladders = 0
-        for landed, shift in [(simple, width), *_climb(d, width, ladders)]:
-            while landed:
-                bit = landed & -landed
-                landed ^= bit
-                target = bit >> (shift - 1)
-                moved = d ^ bit ^ target
-                if moved in seen:
-                    continue
-                if (
-                    moved & outside
-                    or moved.bit_count() != n_inv
-                    or _replay(moved, width, width) != w
-                ):
-                    raise RuntimeError(
-                        f"ladder move in a dream of {w} broke reducedness"
-                    )
-                seen.add(moved)
-                i, j = bit.bit_length() - 1, target.bit_length() - 1
-                moved_cells = (cells - {cell_at[i]}) | {cell_at[j]}
-                moved_wt = wt - step_at[i] + step_at[j]
-                dreams.append(moved_cells)
-                weights.append(moved_wt)
-                stack.append((moved, moved_wt, moved_cells))
-    return frozenset(dreams), packing.decode(Counter(weights))
+        d, cells = stack.pop()
+        landed = _open_moves(d, width)[0]
+        while landed:
+            bit = landed & -landed
+            landed ^= bit
+            target = bit >> (width - 1)
+            moved = d ^ bit ^ target
+            if moved in seen:
+                continue
+            if (
+                moved & outside
+                or moved.bit_count() != n_inv
+                or _replay(moved, width, width) != w
+            ):
+                raise RuntimeError(f"simple slide in a dream of {w} broke reducedness")
+            seen.add(moved)
+            i, j = bit.bit_length() - 1, target.bit_length() - 1
+            moved_cells = (cells - {cell_at[i]}) | {cell_at[j]}
+            dreams.append(moved_cells)
+            stack.append((moved, moved_cells))
+    return frozenset(dreams)
+
+
+def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:
+    """The row step of ``_transfer``: every letter set one row of a dream
+    can hold when the row starts on ``line``, as masks over local letters.
+
+    ``line`` holds the values at positions k + 1 .. n (k leading fixed
+    points of w), and local letter i swaps its entries i and i + 1.  ``s``
+    is the local index of the row's own position r, negative when r <= k.
+    After the row, position r must hold ``target`` = w(r): if it sits at
+    local index j, the row ends in the run of letters j - 1, ..., s that
+    carries it down, letter j is absent, and the letters above j are free.
+    A free letter, placed right to left, is kept only when w inverts the
+    pair it swaps (``pos`` = positions in w): no reduced word of w
+    continues past an inversion w lacks.  As every line then stays below w
+    in the weak order, that pair is also an ascent.
+    """
+    if s < 0:
+        run, lo = 0, 0
+    else:
+        j = line.index(target)
+        run, lo = (1 << j) - (1 << s), j + 1
+    rows = []
+    # (letter to decide, the value at its right-hand position, letters so far)
+    stack = [(len(line) - 2, line[-1], run)]
+    while stack:
+        i, q, bits = stack.pop()
+        if i < lo:
+            rows.append(bits)
+            continue
+        p = line[i]
+        if pos[q] < pos[p]:
+            stack.append((i - 1, q, bits | 1 << i))
+        stack.append((i - 1, p, bits))
+    return rows
+
+
+# the digits of bin(), as bytes that are false for 0 and true for 1
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _transfer(w: Permutation) -> tuple[frozenset, Polynomial]:
+    """Every reduced pipe dream of w (trimmed), with their weight sum.
+
+    The nilCoxeter product is expanded row by row: a line is the
+    permutation read so far, and ``_rows`` gives the letter sets row r can
+    add to it.  Lines are the nodes of a layered graph, one layer per row,
+    so the completions of rows r.. from one line are built once and shared
+    by every prefix that reaches it: per node, a list of dream masks and
+    the list of their packed weights, from the last layer up, with no
+    recursion.
+    A dream mask has bit (r - 1) * L + a - k - 1 for the crossing of row r
+    that carries letter a, L = n - 1 - k the letters w can use, so a long
+    w with k leading fixed points keeps short masks.
+
+    The certificate raises RuntimeError: every letter is an ascent when it
+    is placed, every line after the last row is w, every dream has l(w)
+    crossings, no dream appears twice, and the lex-least weight is the
+    packed Lehmer code with coefficient 1.
+    """
+    if not w:
+        return frozenset({frozenset()}), Polynomial.one()
+    n = len(w)
+    k = next(i for i, v in enumerate(w) if v != i + 1)
+    letters = n - 1 - k
+    code = lehmer_code(w)
+    # row r holds at most one crossing per letter
+    packing = _Packing(n, letters)
+    pos = (0, *inverse(w))  # pos[v]: the position of v in w
+    layers = []
+    frontier = {tuple(range(k + 1, n + 1)): 0}
+    for r in range(1, n):
+        shift, unit, target = (r - 1) * letters, packing.units[r], w[r - 1]
+        children: dict = {}
+        layer = []
+        for line in frontier:
+            edges = []
+            for bits in _rows(line, r - k - 1, target, pos):
+                u = list(line)
+                rest = bits
+                while rest:
+                    i = rest.bit_length() - 1
+                    rest ^= 1 << i
+                    if u[i] > u[i + 1]:
+                        raise RuntimeError(
+                            f"letter {i + k + 1} in row {r} of a dream of {w}"
+                            " is not an ascent"
+                        )
+                    u[i], u[i + 1] = u[i + 1], u[i]
+                child = children.setdefault(tuple(u), len(children))
+                edges.append((bits << shift, bits.bit_count() * unit, child))
+            layer.append(edges)
+        layers.append(layer)
+        frontier = children
+    if list(frontier) != [w[k:]]:
+        raise RuntimeError(f"a dream of {w} does not end at w")
+    masks, weights = [[0]], [[0]]
+    for layer in reversed(layers):
+        masks_up, weights_up = [], []
+        for edges in layer:
+            node_masks, node_weights = [], []
+            for bits, step, child in edges:
+                if bits:
+                    node_masks += [bits | d for d in masks[child]]
+                    node_weights += [step + x for x in weights[child]]
+                else:
+                    node_masks += masks[child]
+                    node_weights += weights[child]
+            masks_up.append(node_masks)
+            weights_up.append(node_weights)
+        masks, weights = masks_up, weights_up
+    (masks,), (weights,) = masks, weights
+    cell_at = [(r, i + k + 2 - r) for r in range(1, n) for i in range(letters)]
+    # all crossings but the last come off the binary digits, and the last
+    # joins by set union: that sizes each frozenset's table as the set
+    # algebra of a closure does, half of what one pass over 5 to 8 cells
+    # would allocate
+    dreams = frozenset(
+        frozenset(compress(cell_at, bin(d)[:2:-1].encode().translate(_BITS)))
+        | {cell_at[d.bit_length() - 1]}
+        for d in masks
+    )
+    n_inv = sum(code)
+    if len(dreams) != len(masks) or any(d.bit_count() != n_inv for d in masks):
+        raise RuntimeError(f"the dreams of {w} are not {len(masks)} distinct reduced words")
+    terms = Counter(weights)
+    lead = min(terms)
+    if lead != packing.pack(code) or terms[lead] != 1:
+        raise RuntimeError(f"the leading term of the Schubert polynomial of {w} is wrong")
+    return dreams, packing.decode(terms)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _closure_cached(w: Permutation) -> tuple[frozenset, Polynomial]:
-    return _closure(w, simple_only=False)
+def _transfer_cached(w: Permutation) -> tuple[frozenset, Polynomial]:
+    return _transfer(w)
 
 
 def all_pipe_dreams(w: Permutation) -> frozenset:
-    """Every reduced pipe dream for w (closure under all ladder-move orders)."""
-    return _closure_cached(trim(w))[0]
+    """Every reduced pipe dream for w (the closure under ladder moves of
+    every order)."""
+    return _transfer_cached(trim(w))[0]
 
 
 def simple_closure(w: Permutation) -> frozenset:
     """Pipe dreams reachable from the bottom one by order-0 moves alone."""
-    return _closure(w, simple_only=True)[0]
+    return _closure(w)
 
 
 def weight(cells) -> Monomial:
@@ -244,7 +368,7 @@ def weight(cells) -> Monomial:
 
 def schubert(w: Permutation) -> Polynomial:
     """Schubert polynomial of w: the weight sum over all_pipe_dreams(w)."""
-    return _closure_cached(trim(w))[1]
+    return _transfer_cached(trim(w))[1]
 
 
 def _descent_word(u: Permutation) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,21 +250,128 @@ def test_closure_matches_every_reduced_subset_of_the_staircase():
 
 
 def test_closure_certifies_every_move(monkeypatch):
-    # a climb whose crossings land one column off must stop the closure
-    climb = pipedreams._climb
+    # slides taken from the crossing one column left of each open one land
+    # on that crossing's column; the order-0 closure must stop
+    open_moves = pipedreams._open_moves
 
-    def one_column_off(d, width, starts):
-        return [(landed, shift - 1) for landed, shift in climb(d, width, starts)]
+    def one_column_off(d, width):
+        simple, ladders = open_moves(d, width)
+        return simple >> 1 & d, ladders
 
-    monkeypatch.setattr(pipedreams, "_climb", one_column_off)
-    with pytest.raises(RuntimeError):
-        pipedreams._closure((1, 4, 3, 2), simple_only=False)
+    monkeypatch.setattr(pipedreams, "_open_moves", one_column_off)
+    with pytest.raises(RuntimeError, match="broke reducedness"):
+        pipedreams._closure((1, 4, 3, 2))
 
 
 @given(perms())
 def test_dream_count_matches_coefficient_sum(w):
-    total = sum(c for _, c in schubert(w).items())
+    # the divided-difference oracle, not the weight sum of the same transfer
+    total = sum(c for _, c in schubert_divdiff(w).items())
     assert total == len(all_pipe_dreams(w))
+
+
+# --- the row-by-row transfer against ladder moves -------------------------------
+
+
+def ladder_closure(w):
+    """Reference: the dreams of w reachable from the bottom one by ladder
+    moves of every order (Bergeron-Billey), as cell sets.  Masks of width
+    len(w); ``_open_moves`` gives the slides and ladder starts, ``_climb``
+    where the ladder starts land."""
+    w = trim(w)
+    width = max(len(w), 1)
+    start = pipedreams._mask(bottom_pipe_dream(w), width)
+    seen, stack = {start}, [start]
+    while stack:
+        d = stack.pop()
+        simple, ladders = pipedreams._open_moves(d, width)
+        for landed, shift in [(simple, width), *pipedreams._climb(d, width, ladders)]:
+            while landed:
+                bit = landed & -landed
+                landed ^= bit
+                moved = d ^ bit ^ bit >> (shift - 1)
+                if moved not in seen:
+                    seen.add(moved)
+                    stack.append(moved)
+    cells = [(i // width + 1, i % width + 1) for i in range(width * width)]
+    return {frozenset(c for i, c in enumerate(cells) if d >> i & 1) for d in seen}
+
+
+def check_transfer_matches_ladder_moves(n):
+    for w in all_permutations(n):
+        dreams = all_pipe_dreams(w)
+        assert dreams == ladder_closure(w), w
+        assert all(permutation_of(d) == trim(w) for d in dreams)
+
+
+def test_transfer_matches_the_ladder_move_closure():
+    for n in range(1, 7):
+        check_transfer_matches_ladder_moves(n)
+
+
+@pytest.mark.extended
+def test_transfer_matches_the_ladder_move_closure_on_s7():
+    check_transfer_matches_ladder_moves(7)
+
+
+def test_long_sparse_permutation_is_fast():
+    # w = 1 2 ... 1198 1200 1199: one crossing on the diagonal r + c = 1200
+    # in each of rows 1..1199, so masks must not grow with the square of n
+    n = 1200
+    w = tuple(range(1, n - 1)) + (n, n - 1)
+    start = time.perf_counter()
+    dreams = all_pipe_dreams(w)
+    poly = schubert(w)
+    assert time.perf_counter() - start < 1.0
+    assert dreams == {frozenset({(r, n - r)}) for r in range(1, n)}
+    assert poly == sum((x(r) for r in range(1, n)), Polynomial.zero())
+
+
+def test_transfer_certifies_each_letter(monkeypatch):
+    # a row step that places letter 1 where the line descends
+    real = pipedreams._rows
+
+    def descent(line, *args):
+        return [b | (line[0] > line[1]) for b in real(line, *args)]
+
+    monkeypatch.setattr(pipedreams, "_rows", descent)
+    with pytest.raises(RuntimeError, match="not an ascent"):
+        pipedreams._transfer((2, 1, 3))
+
+
+def test_transfer_certifies_the_final_line(monkeypatch):
+    def empty_rows(*args):
+        return [0]
+
+    monkeypatch.setattr(pipedreams, "_rows", empty_rows)
+    with pytest.raises(RuntimeError, match="does not end at w"):
+        pipedreams._transfer((1, 3, 2))
+
+
+def test_transfer_certifies_distinct_dreams(monkeypatch):
+    real = pipedreams._rows
+
+    def twice(*args):
+        return real(*args) * 2
+
+    monkeypatch.setattr(pipedreams, "_rows", twice)
+    with pytest.raises(RuntimeError, match="distinct"):
+        pipedreams._transfer((1, 3, 2))
+
+
+def test_transfer_certifies_the_leading_term(monkeypatch):
+    # 132 has the dreams {(1, 2)} and, at the bottom, {(2, 1)}; a row step
+    # that never leaves row 1 empty loses the bottom one (row 1 is the one
+    # row of 132 whose position is a leading fixed point, so s < 0)
+    real = pipedreams._rows
+
+    def full_first_row(line, s, target, pos):
+        rows = real(line, s, target, pos)
+        return [b for b in rows if b] if s < 0 else rows
+
+    monkeypatch.setattr(pipedreams, "_rows", full_first_row)
+    with pytest.raises(RuntimeError, match="leading term"):
+        pipedreams._transfer((1, 3, 2))
 
 
 # --- polynomials -----------------------------------------------------------------

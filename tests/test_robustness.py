@@ -35,19 +35,35 @@ def test_no_bare_assert_in_the_library():
 
 
 def test_pipedreams_are_the_same_under_optimize():
-    # the closure certifies each dream with an explicit check, not an assert
-    outputs = []
-    for optimize in (False, True):
-        proc = cli(
-            "pipedreams", "4132", "--json",
-            optimize=optimize, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
-        out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0
-        assert err == b""
-        outputs.append(json.loads(out))
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == 2
+    # the transfer and the order-0 closure certify each dream with explicit
+    # checks, not asserts
+    cases = [(("4132",), 2), (("15827364",), 1462), (("15827364", "--simple-only"), 980)]
+    for argv, count in cases:
+        outputs = []
+        for optimize in (False, True):
+            proc = cli(
+                "pipedreams", *argv, "--json",
+                optimize=optimize, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0
+            assert err == b""
+            outputs.append(json.loads(out))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == count, argv
+
+
+def test_pipedreams_of_a_long_sparse_permutation():
+    # 1 2 ... 1198 1200 1199 has one dream per row; the text grid would
+    # print 1199 staircases of 1199 rows, so ask for JSON
+    n = 1200
+    perm = ",".join(map(str, [*range(1, n - 1), n, n - 1]))
+    proc = cli("pipedreams", perm, "--json", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
+    dreams = json.loads(out)
+    assert sorted(d["cells"] for d in dreams) == [[[r, n - r]] for r in range(1, n)]
 
 
 @pytest.mark.parametrize(
