@@ -19,14 +19,17 @@ that identification:
   Schubert polynomial from a neighbour by one divided difference instead of
   a pipe-dream sum, both pattern verdicts from one table of the
   avoiders of S_(n-1), and each forest from the one-pass code layout.
-  ``concurrent.futures`` is imported only when a run starts a process
-  pool, so importing this module, or running ``verify`` serially, never
-  loads the pool and the multiprocessing machinery behind it.
+  With ``jobs`` > 1 it forks its worker processes itself: each child
+  inherits n, the avoider table and the code, takes one unit at a time
+  over a pipe and answers with one length-framed ``marshal`` record, so
+  no run imports ``concurrent.futures`` or ``multiprocessing`` and nothing
+  is pickled.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import operator
 import os
@@ -341,7 +344,10 @@ def _usable_cpus() -> int:
 
 def _worker_count(jobs: int, units: int) -> int:
     """Processes worth starting: no more than asked for, than there are
-    units to hand out, or than there are usable CPUs."""
+    units to hand out, or than there are usable CPUs; one, so the run stays
+    serial, where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     return max(1, min(jobs, units, _usable_cpus()))
 
 
@@ -350,18 +356,111 @@ class WorkerDied(RuntimeError):
     memory) before the run finished."""
 
 
-# a pool worker's run: (n, avoider table), set once by _start_worker
-_worker_run: tuple[int, dict[Permutation, int]] = (0, {})
+def _serve(work: Callable, items: list, orders: int, results: int) -> None:
+    """A forked child's loop: read a 4-byte item index from ``orders``,
+    answer on ``results`` with an 8-byte length and the ``marshal`` record
+    (None, work(item)), or (message, None) when the work raised; stop when
+    ``orders`` is closed."""
+    while index := os.read(orders, 4):
+        try:
+            record = marshal.dumps((None, work(items[int.from_bytes(index, "little")])))
+        except Exception as exc:
+            record = marshal.dumps((f"{type(exc).__name__} in a worker: {exc}", None))
+        frame = memoryview(len(record).to_bytes(8, "little") + record)
+        while frame:
+            frame = frame[os.write(results, frame) :]
 
 
-def _start_worker(n: int, table: dict[Permutation, int]) -> None:
-    global _worker_run
-    _worker_run = (n, table)
+def _fork_map(work: Callable, items: list, jobs: int, absorb: Callable) -> None:
+    """Call absorb(work(item)) for each item, in order, with the work done
+    in ``jobs`` forked children, jobs <= len(items).
 
+    A child inherits ``work`` and ``items``; it is sent only item indices.
+    An idle child gets the next item in order, so a run that lists its
+    heaviest items first starts them first.  Records are held until every
+    earlier one is absorbed.  A child that closes its pipe without
+    answering raises ``WorkerDied``; an exception in a child's work raises
+    ``RuntimeError`` with its message when that item's turn comes.  Every
+    child is killed and reaped on the way out, whatever the way.  A fork
+    copies only the calling thread, so the caller must run no other
+    threads; the CLI runs none.
+    """
+    # only a parallel run pays for these two imports
+    import select
+    import signal
 
-def _worker_unit(prefix: Permutation) -> dict:
-    n, table = _worker_run
-    return _verify_unit(prefix, n, table)
+    pids: list[int] = []
+    fds: list[int] = []  # the pipe ends this process holds
+    orders: dict[int, int] = {}  # a child's results end -> its orders end
+    held: dict[int, int] = {}  # a busy child's results end -> its item
+    waiting: dict[int, tuple] = {}  # item -> record not yet absorbed
+    handed = absorbed = 0
+    died = "a worker process died before verify finished"
+
+    def hand_out(child: int) -> None:
+        nonlocal handed
+        try:
+            os.write(orders[child], handed.to_bytes(4, "little"))
+        except BrokenPipeError:
+            raise WorkerDied(died) from None
+        held[child] = handed
+        handed += 1
+
+    def read(child: int, size: int) -> bytes:
+        data = b""
+        while len(data) < size:
+            chunk = os.read(child, size - len(data))
+            if not chunk:
+                raise WorkerDied(died)
+            data += chunk
+        return data
+
+    try:
+        for _ in range(jobs):
+            fds.extend(os.pipe())
+            fds.extend(os.pipe())
+            orders_r, orders_w, results_r, results_w = fds[-4:]
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for fd in fds:
+                        if fd not in (orders_r, results_w):
+                            os.close(fd)
+                    _serve(work, items, orders_r, results_w)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            for fd in (orders_r, results_w):
+                os.close(fd)
+                fds.remove(fd)
+            orders[results_r] = orders_w
+        poller = select.poll()
+        for child in orders:
+            poller.register(child, select.POLLIN)
+            hand_out(child)
+        while absorbed < len(items):
+            for child, _ in poller.poll():
+                # a child writes its whole record at once: read it whole
+                size = int.from_bytes(read(child, 8), "little")
+                waiting[held.pop(child)] = marshal.loads(read(child, size))
+                if handed < len(items):
+                    hand_out(child)
+                else:
+                    poller.unregister(child)
+            while absorbed in waiting:
+                message, record = waiting.pop(absorbed)
+                if message is not None:
+                    raise RuntimeError(message)
+                absorb(record)
+                absorbed += 1
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def verify_theorem(
@@ -373,11 +472,11 @@ def verify_theorem(
     S_n, cross-checking bad-pair detection on the 1432-avoiding part.
 
     Runs unit by unit, one unit per pair of first values, in lexicographic
-    order (optionally fanned out over up to ``jobs`` processes, merged in
-    order); ``progress(done, total)`` fires after each unit.  Schubert
-    polynomials come from the divided-difference sweep, and pattern
-    verdicts from a table of the avoiders of S_(n-1) built once per run.
-    Raises ``WorkerDied`` when a worker process dies.
+    order (optionally fanned out over up to ``jobs`` forked processes,
+    merged in order); ``progress(done, total)`` fires after each unit.
+    Schubert polynomials come from the divided-difference sweep, and
+    pattern verdicts from a table of the avoiders of S_(n-1) built once per
+    run.  Raises ``WorkerDied`` when a worker process dies.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -392,24 +491,16 @@ def verify_theorem(
         if progress is not None:
             progress(merged["total"], total)
 
+    def work(prefix: Permutation) -> dict:
+        return _verify_unit(prefix, n, table)
+
     units = _units(n)
     jobs = _worker_count(jobs, len(units))
     if jobs == 1:
         for prefix in units:
-            absorb(_verify_unit(prefix, n, table))
+            absorb(work(prefix))
     else:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # the table goes to each worker once, not once per unit
-        try:
-            with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_start_worker, initargs=(n, table)
-            ) as pool:
-                for result in pool.map(_worker_unit, units):
-                    absorb(result)
-        except BrokenProcessPool as exc:
-            raise WorkerDied("a worker process died before verify finished") from exc
+        _fork_map(work, units, jobs, absorb)
 
     return VerifyReport(
         n=n, elapsed_ms=int((time.monotonic() - started) * 1000), **merged

@@ -14,7 +14,9 @@ points carry no meaning: ``(4, 1, 3, 2, 5)`` denotes the same value, and
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from typing import Iterable, Iterator, Mapping, Optional
 
 Permutation = tuple[int, ...]
@@ -83,20 +85,21 @@ def inverse(w: Permutation) -> Permutation:
 
 
 def inversions(w: Permutation) -> int:
-    return sum(
-        1
-        for i in range(len(w))
-        for j in range(i + 1, len(w))
-        if w[i] > w[j]
-    )
+    return sum(lehmer_code(w))
 
 
 def lehmer_code(w: Permutation) -> LehmerCode:
-    """Entry i counts the j > i with w(j) < w(i).  Length = len(w)."""
-    return tuple(
-        sum(1 for j in range(i + 1, len(w)) if w[j] < w[i])
-        for i in range(len(w))
-    )
+    """Entry i counts the j > i with w(j) < w(i).  Length = len(w).
+
+    Read from the right, entry i is the insertion point of w(i) among the
+    sorted values after it."""
+    after: list[int] = []
+    code = []
+    for v in reversed(w):
+        i = bisect.bisect_left(after, v)
+        code.append(i)
+        after.insert(i, v)
+    return tuple(reversed(code))
 
 
 def trim_zeros(entries: Iterable[int]) -> tuple[int, ...]:
@@ -131,26 +134,41 @@ def perm_from_code(code: LehmerCode) -> Permutation:
 def pattern_witness(w: Permutation, p: Permutation) -> Optional[tuple[int, ...]]:
     """Lexicographically first 1-based index tuple where p occurs in w, else
     None.  Both words are searched as given, trailing fixed points included:
-    (1, 2) does not occur in (2, 1), and the empty pattern occurs in every w."""
+    (1, 2) does not occur in (2, 1), and the empty pattern occurs in every w.
+
+    The chosen prefix always matches p's prefix in relative order, so entry
+    m only has to lie between the values chosen for the earlier positions
+    holding the next smaller and the next larger value of p."""
     n, k = len(w), len(p)
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        m = len(chosen)
-        if m == k:
-            return True
-        for j in range(start, n - (k - m) + 1):
-            # relative order of the prefix must match p exactly
-            if all((w[j] > w[t]) == (p[m] > p[s]) for s, t in enumerate(chosen)):
-                chosen.append(j)
-                if extend(j + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if extend(0):
-        return tuple(j + 1 for j in chosen)
-    return None
+    bounds = []  # per position of p: earlier positions of its value neighbours
+    for m, v in enumerate(p):
+        lo = hi = None
+        for s in range(m):
+            if p[s] < v:
+                if lo is None or p[s] > p[lo]:
+                    lo = s
+            elif hi is None or p[s] < p[hi]:
+                hi = s
+        bounds.append((lo, hi))
+    chosen = [0] * k
+    m = j = 0
+    while m < k:
+        lo, hi = bounds[m]
+        low = -math.inf if lo is None else w[chosen[lo]]
+        high = math.inf if hi is None else w[chosen[hi]]
+        for j in range(j, n - k + m + 1):
+            if low < w[j] < high:
+                chosen[m] = j
+                m += 1
+                j += 1
+                break
+        else:
+            # no candidate left for position m: move position m - 1 on
+            if m == 0:
+                return None
+            m -= 1
+            j = chosen[m] + 1
+    return tuple(j + 1 for j in chosen)
 
 
 def contains_pattern(w: Permutation, p: Permutation) -> bool:

@@ -29,6 +29,24 @@ def pytest_configure(config):
     )
 
 
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process unreaped, running or not:
+    verify's forked workers must all be killed and reaped on the way out."""
+    yield
+    left = []
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            break
+        left.append(pid or "a running one")
+        if not pid:
+            break
+    if left:
+        pytest.fail(f"the test left child processes unreaped: {left}")
+
+
 def pytest_collection_modifyitems(config, items):
     skip_long = pytest.mark.skip(reason="set FORESTRY_EXTENDED=1 to run")
     for item in items:

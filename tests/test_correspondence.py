@@ -1,5 +1,7 @@
 import importlib
 import itertools
+import marshal
+import os
 import pkgutil
 from collections import Counter, deque
 
@@ -464,6 +466,62 @@ def test_verify_parallel_merge_matches_serial(monkeypatch):
     split = [entry["permutation"] for entry in serial.disagreements]
     assert len(split) == 21
     assert split == sorted(split)
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    def fail(prefix, n, table):
+        raise RuntimeError(f"sweep went wrong at {prefix}")
+
+    monkeypatch.setattr(correspondence, "_verify_unit", fail)
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
+    # whichever worker answers first, the first unit's error is the one
+    # raised, as in a serial run
+    with pytest.raises(RuntimeError, match=r"sweep went wrong at \(1, 2\)") as caught:
+        verify_theorem(4, jobs=2)
+    assert type(caught.value) is RuntimeError
+
+
+def test_worker_that_stops_taking_units_is_a_dead_worker(monkeypatch):
+    # each child answers one unit and closes both pipe ends, so the next
+    # unit meets a closed pipe
+    def answer_once(work, items, orders, results):
+        index = int.from_bytes(os.read(orders, 4), "little")
+        os.close(orders)
+        record = marshal.dumps((None, work(items[index])))
+        os.write(results, len(record).to_bytes(8, "little") + record)
+
+    monkeypatch.setattr(correspondence, "_serve", answer_once)
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
+    with pytest.raises(correspondence.WorkerDied):
+        verify_theorem(4, jobs=2)
+
+
+def test_failing_progress_leaves_no_worker_behind(monkeypatch):
+    # a closed stderr makes the CLI's progress line raise BrokenPipeError
+    def progress(done, total):
+        if done >= 12:
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
+    with pytest.raises(BrokenPipeError):
+        verify_theorem(5, jobs=2, progress=progress)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parallel_progress_fires_once_per_unit_in_order(monkeypatch):
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 3)
+    calls = []
+    verify_theorem(5, jobs=3, progress=lambda done, total: calls.append((done, total)))
+    assert calls == [(6 * k, 120) for k in range(1, 21)]
+
+
+def test_no_fork_runs_serially(monkeypatch):
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    assert correspondence._worker_count(5000, 6) == 1
+    report = verify_theorem(4, jobs=2)
+    assert (report.total, report.pattern_positive) == (24, 21)
 
 
 def test_worker_count_is_clamped(monkeypatch):

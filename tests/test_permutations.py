@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,9 +79,12 @@ def test_inverse_is_an_involution(w):
     assert all(w[inverse(w)[i] - 1] == i + 1 for i in range(len(w)))
 
 
-@given(perms())
+@given(perms(12))
 def test_inversions_equals_code_sum(w):
-    assert inversions(w) == sum(lehmer_code(w))
+    # against the quadratic definition: both come from one sorted pass
+    code = tuple(sum(1 for v in w[i + 1 :] if v < w[i]) for i in range(len(w)))
+    assert lehmer_code(w) == code
+    assert inversions(w) == sum(code)
 
 
 # --- Lehmer codes ----------------------------------------------------------
@@ -155,6 +161,33 @@ def test_patterns_ending_in_fixed_points_are_searched_whole():
 def test_pattern_witness_is_lex_first():
     # both (1,3,4) and (2,3,4) carry 132; the first wins
     assert pattern_witness((1, 2, 5, 3), (1, 3, 2)) == (1, 3, 4)
+
+
+def first_occurrence(w, p):
+    # the definition: the first index tuple, in combinations order, whose
+    # values are in the relative order of p
+    for idx in itertools.combinations(range(len(w)), len(p)):
+        values = [w[i] for i in idx]
+        if all((a < b) == (c < d) for a, c in zip(values, p) for b, d in zip(values, p)):
+            return tuple(i + 1 for i in idx)
+    return None
+
+
+def test_pattern_witness_matches_brute_force():
+    small = ((), (1,), (1, 2), (2, 1), (1, 3, 2), (3, 1, 2))
+    for n in range(8):
+        for w in all_permutations(n):
+            for p in FORBIDDEN_PATTERNS + (small if n < 7 else ()):
+                assert pattern_witness(w, p) == first_occurrence(w, p), (w, p)
+    rng = random.Random(8)
+    for _ in range(200):
+        w = tuple(rng.sample(range(1, 9), 8))
+        for p in FORBIDDEN_PATTERNS:
+            assert pattern_witness(w, p) == first_occurrence(w, p), (w, p)
+    # a pattern longer than w, and (1, 2) against (2, 1)
+    assert pattern_witness((3, 1, 2), (1, 4, 3, 2)) is None
+    assert pattern_witness((2, 1), (1, 2)) is None
+    assert pattern_witness((1, 2), (2, 1)) is None
 
 
 @given(perms(5))

@@ -121,22 +121,28 @@ def test_closed_stdout_exits_quietly():
 
 
 def test_serial_verify_loads_no_pool_and_no_dataclasses():
-    # start-up cost: a serial run must not import the process pool (and the
+    # start-up cost: no run may import the process pool (and the
     # multiprocessing, pickle and socket modules behind it) or dataclasses
-    # (and inspect behind it)
+    # (and inspect behind it); with two usable CPUs, --jobs 2 really forks
     script = (
-        "import sys\n"
+        "import os, sys\n"
+        "from forestry import correspondence\n"
         "from forestry.cli import main\n"
-        "status = main(['verify', '5', '--jobs', '1', '--json'])\n"
+        "correspondence._usable_cpus = lambda: 2\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "status = main(['verify', '5', '--jobs', sys.argv[1], '--json'])\n"
         "heavy = ('concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect')\n"
-        "print(status, sorted(m for m in heavy if m in sys.modules))\n"
+        "print(status, len(forks), sorted(m for m in heavy if m in sys.modules))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=src_env(),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    for jobs, forks in (("1", 0), ("2", 2)):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, jobs],
+            env=src_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 {forks} []"
