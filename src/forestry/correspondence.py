@@ -10,10 +10,10 @@ that identification:
 - ``labeling_to_pipe_dream`` realizes a valid labeling f as a pipe dream by
   sliding each crossing up its diagonal (simple moves only) until it sits in
   row f(v) — a weight-preserving injection from labelings into pipe dreams;
-- ``find_bad_pair`` hunts, through the id-tracked simple-move closure, for a
-  right-child crossing that can climb into (or past) its parent's row: the
-  obstruction that makes a Schubert polynomial fail to be a forest
-  polynomial;
+- ``find_bad_pair`` hunts for a right-child crossing that can climb into
+  (or past) its parent's row, the obstruction that makes a Schubert
+  polynomial fail to be a forest polynomial: it stops the one order-0 walk,
+  ``pipedreams._slide_walk``, at the first such state in queue order;
 - ``verify_theorem`` checks, over all of S_n, that the pattern test and the
   polynomial-equality test give the same verdict.  In bulk it gets each
   Schubert polynomial from a neighbour by one divided difference instead of
@@ -34,7 +34,6 @@ import math
 import operator
 import os
 import time
-from collections import deque
 from typing import Callable, NamedTuple, Optional
 
 from .forests import (
@@ -63,6 +62,7 @@ from .pipedreams import (
     _mask,
     _open_moves,
     _schubert_divdiff_terms,
+    _slide_walk,
     schubert,
 )
 from .polynomials import _divided_difference, _Packing
@@ -121,13 +121,15 @@ class BadPair(NamedTuple):
 def replay_simple_moves(w: Permutation, moves) -> dict[Vertex, Cell]:
     """Slide the named crossings of the bottom pipe dream one step each, in
     order; returns the final id -> cell placement.  Raises ValueError when a
-    slide is blocked."""
+    slide is blocked or an id names no crossing."""
     w = trim(w)
     width = len(w)
     ids = forest_from_code(lehmer_code(w)).vertices
     pos: dict[Vertex, Cell] = {v: v for v in ids}
     occupied = _mask(ids, width)
     for moved in moves:
+        if moved not in pos:
+            raise ValueError(f"{moved} is not a crossing id of the bottom pipe dream of {w}")
         r, c = pos[moved]
         at = (r - 1) * width + c - 1
         if not _open_moves(occupied, width)[0] >> at & 1:
@@ -147,55 +149,23 @@ def find_bad_pair(w: Permutation) -> Optional[BadPair]:
 
 def _search_bad_pair(code, covers, width: int) -> Optional[BadPair]:
     """``find_bad_pair`` for the permutation of the trimmed ``code``, whose
-    trimmed length is ``width``; ``covers`` are ``_layout(code)``'s.
-
-    A state is one int with a field per crossing, in slot order, holding
-    its row, which fixes its cell, as a slide keeps r + c.  Rows only fall
-    from rho <= len(code), which sizes the fields.  The occupied cells ride
-    alongside as a mask.  A slide can only bring the moved crossing level
-    with its cover parent, so each new state is checked for that one pair
-    as it is queued, which finds the first bad state in queue order.  The
-    start is never bad: cover children lie in later rows.
-    """
+    trimmed length is ``width``; ``covers`` are ``_layout(code)``'s.  The
+    walk never stops at its start, as cover children lie in later rows."""
     if not covers:
         return None
+    parents = [-1] * sum(code)
+    for parent, child in covers:
+        parents[child] = parent
+    prev, _, stop = _slide_walk(code, width, parents)
+    if stop is None:
+        return None
     ids = [(row, t) for row, k in enumerate(code, start=1) for t in range(1, k + 1)]
-    bits = len(code).bit_length()
-    field = (1 << bits) - 1
-    parent_of = {child: parent for parent, child in covers}
-    # cell (r, c) is bit (r - 1) * width + c - 1: on the diagonal
-    # r + c = rho + t of crossing (rho, t) that is r * step + offset, and a
-    # slide to (r - 1, c + 1) lowers it by step
-    step = width - 1
-    crossings = []  # (slot, field shift, offset, cover parent's slot or -1)
-    state = 0
-    for i, (row, t) in enumerate(ids):
-        state |= row << i * bits
-        crossings.append((i, i * bits, row + t - width - 1, parent_of.get(i, -1)))
-    prev: dict[int, Optional[tuple[int, int]]] = {state: None}
-    queue = deque([(state, _mask(ids, width))])
-    while queue:
-        state, occupied = queue.popleft()
-        slides = _open_moves(occupied, width)[0]
-        for i, shift, offset, parent in crossings:
-            row = state >> shift & field
-            at = row * step + offset
-            if not slides >> at & 1:
-                continue
-            nxt = state - (1 << shift)
-            if nxt in prev:
-                continue
-            prev[nxt] = (state, i)
-            if parent >= 0 and row - 1 <= nxt >> parent * bits & field:
-                moves: list[Vertex] = []
-                cursor = nxt
-                while prev[cursor] is not None:
-                    cursor, idx = prev[cursor]
-                    moves.append(ids[idx])
-                moves.reverse()
-                return BadPair(parent=ids[parent], child=ids[i], moves=tuple(moves))
-            queue.append((nxt, occupied ^ (1 << at) ^ (1 << at - step)))
-    return None
+    child = prev[stop][1]
+    moves: list[Vertex] = []
+    while prev[stop] is not None:
+        stop, idx = prev[stop]
+        moves.append(ids[idx])
+    return BadPair(parent=ids[parents[child]], child=ids[child], moves=tuple(moves[::-1]))
 
 
 def is_forest_by_pattern(w: Permutation) -> bool:

@@ -19,15 +19,17 @@ the rows that complete one such line are built once for every prefix that
 reaches it.  The test suite keeps the closure under ladder moves of every
 order as the reference for the transfer.
 
-Inside this module a dream is also one int, a mask.  In the order-0
-closure and ``ladder_move``, cell (r, c) is bit (r - 1) * W + (c - 1) for
-a width W above every column, W = len(w); ``_open_moves`` finds the
-crossings that can move, ``_climb`` carries ladder starts up to where they
-land, and ``_replay`` reads a mask's word back to its permutation.  The
-transfer's masks index a crossing by its row and its letter instead.  Both
-certify every dream they return with explicit checks that raise
-RuntimeError.  One cache entry per permutation holds its dreams and its
-Schubert polynomial.
+Inside this module a dream is also one int, a mask.  In ``ladder_move``
+and ``_slide_walk``, the one order-0 walk, cell (r, c) is bit
+(r - 1) * W + (c - 1) for a width W above every column, W = len(w);
+``_open_moves`` finds the crossings that can move, ``_climb`` carries
+ladder starts up to where they land, and ``_replay`` reads a mask's word
+back to its permutation.  ``simple_closure`` takes the whole walk; the
+bad-pair search in ``correspondence`` stops it at the first crossing level
+with its cover parent.  The transfer's masks index a crossing by its row
+and its letter instead.  Both certify every dream they return with
+explicit checks that raise RuntimeError.  One cache entry per permutation
+holds its dreams and its Schubert polynomial.
 """
 
 from __future__ import annotations
@@ -147,6 +149,52 @@ def _climb(d: int, width: int, starts: int) -> list[tuple[int, int]]:
     return landings
 
 
+def _slide_walk(code, width: int, parents) -> tuple[dict, list, Optional[int]]:
+    """The one order-0 walk: breadth first over the id-tracked states of
+    the bottom dream of ``code``, on masks of width ``width``.  A state is
+    one int with a field per crossing, in ``_layout``'s slot order, holding
+    its row, which fixes its cell, as a slide keeps r + c; rows only fall
+    from rho <= len(code), which sizes the fields.  ``parents[i]`` is the
+    slot of the cover parent of slot i, or -1.  A slide can only bring the
+    moved crossing level with its parent, so the walk checks that one pair
+    as it queues each state, and stops at the first level one.  Returns
+    ``prev`` (state -> the previous state and the slot that moved, None at
+    the start), the reached (state, mask) pairs in queue order, and the
+    stopping state, None when the closure is complete.
+    """
+    bits = len(code).bit_length()
+    field = (1 << bits) - 1
+    # cell (r, c) is bit (r - 1) * width + c - 1: on the diagonal
+    # r + c = rho + t of crossing (rho, t) that is r * step + offset, and a
+    # slide to (r - 1, c + 1) lowers it by step
+    step = width - 1
+    crossings = []  # (slot, field shift, offset, cover parent's slot or -1)
+    state = occupied = 0
+    for row, k in enumerate(code, start=1):
+        for t in range(1, k + 1):
+            i = len(crossings)
+            state |= row << i * bits
+            crossings.append((i, i * bits, row + t - width - 1, parents[i]))
+        occupied |= ((1 << k) - 1) << (row - 1) * width
+    prev: dict[int, Optional[tuple[int, int]]] = {state: None}
+    reached = [(state, occupied)]
+    for state, occupied in reached:  # the list is the queue
+        slides = _open_moves(occupied, width)[0]
+        for i, shift, offset, parent in crossings:
+            row = state >> shift & field
+            at = row * step + offset
+            if not slides >> at & 1:
+                continue
+            nxt = state - (1 << shift)
+            if nxt in prev:
+                continue
+            prev[nxt] = (state, i)
+            if parent >= 0 and row - 1 <= nxt >> parent * bits & field:
+                return prev, reached, nxt
+            reached.append((nxt, occupied ^ (1 << at) ^ (1 << at - step)))
+    return prev, reached, None
+
+
 def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
     """Apply the order-k ladder move at ``cell``; None when not applicable."""
     if cell not in cells:
@@ -163,56 +211,6 @@ def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
                 raise RuntimeError(f"ladder move at {cell} broke reducedness")
             return frozenset(moved)
     return None
-
-
-def _closure(w: Permutation) -> frozenset:
-    """The dreams of w reachable from the bottom one by order-0 moves.
-
-    Dreams are masks of width W = len(w), so cell (r, c) + W is (r + 1, c),
-    and ``_open_moves`` finds a dream's simple slides.  Every new dream is
-    certified, else RuntimeError: it lies in the staircase r + c <= W, has
-    l(w) crossings, and its reading word replays to w.  The bottom dream's
-    mask is checked against ``bottom_pipe_dream``, and each other returned
-    cell set is its parent's with the one moved cell, so every cell set
-    decodes a certified mask.
-    """
-    w = trim(w)
-    width = max(len(w), 1)  # the identity's one empty dream still gets a row
-    code = lehmer_code(w)
-    n_inv = sum(code)
-    bottom = bottom_pipe_dream(w)
-    d0 = 0
-    for i, k in enumerate(code):
-        d0 |= ((1 << k) - 1) << (i * width)
-    if d0 != _mask(bottom, width) or _replay(d0, width, width) != w:
-        raise RuntimeError(f"bottom pipe dream of {w} is wrong")
-    outside = ~sum(((1 << (width - 1 - i)) - 1) << (i * width) for i in range(width))
-    cell_at = [(i // width + 1, i % width + 1) for i in range(width * width)]
-    seen = {d0}
-    dreams = [bottom]
-    stack = [(d0, bottom)]
-    while stack:
-        d, cells = stack.pop()
-        landed = _open_moves(d, width)[0]
-        while landed:
-            bit = landed & -landed
-            landed ^= bit
-            target = bit >> (width - 1)
-            moved = d ^ bit ^ target
-            if moved in seen:
-                continue
-            if (
-                moved & outside
-                or moved.bit_count() != n_inv
-                or _replay(moved, width, width) != w
-            ):
-                raise RuntimeError(f"simple slide in a dream of {w} broke reducedness")
-            seen.add(moved)
-            i, j = bit.bit_length() - 1, target.bit_length() - 1
-            moved_cells = (cells - {cell_at[i]}) | {cell_at[j]}
-            dreams.append(moved_cells)
-            stack.append((moved, moved_cells))
-    return frozenset(dreams)
 
 
 def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:
@@ -357,8 +355,29 @@ def all_pipe_dreams(w: Permutation) -> frozenset:
 
 
 def simple_closure(w: Permutation) -> frozenset:
-    """Pipe dreams reachable from the bottom one by order-0 moves alone."""
-    return _closure(w)
+    """Pipe dreams reachable from the bottom one by order-0 moves alone:
+    the whole ``_slide_walk``, its masks as cell sets.  Each mask must lie
+    in the staircase r + c <= len(w), have l(w) crossings, replay to w and
+    belong to no other state, else RuntimeError."""
+    w = trim(w)
+    width = max(len(w), 1)  # the identity's one empty dream still gets a row
+    code = lehmer_code(w)
+    n_inv = sum(code)
+    _, reached, _ = _slide_walk(code, width, [-1] * n_inv)
+    outside = ~sum(((1 << (width - 1 - i)) - 1) << (i * width) for i in range(width))
+    cell_at = [(i // width + 1, i % width + 1) for i in range(width * width)]
+    dreams = set()
+    for _, d in reached:
+        if d & outside:
+            raise RuntimeError(f"a simple slide in a dream of {w} left the staircase")
+        if d.bit_count() != n_inv:
+            raise RuntimeError(f"a dream of {w} has {d.bit_count()} crossings, not {n_inv}")
+        if _replay(d, width, width) != w:
+            raise RuntimeError(f"a simple slide in a dream of {w} broke reducedness")
+        dreams.add(frozenset(compress(cell_at, bin(d)[:1:-1].encode().translate(_BITS))))
+    if len(dreams) != len(reached):
+        raise RuntimeError(f"two states of the order-0 walk of {w} share a dream")
+    return frozenset(dreams)
 
 
 def weight(cells) -> Monomial:

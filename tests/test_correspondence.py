@@ -35,6 +35,7 @@ from forestry.pipedreams import (
     _bit,
     _mask,
     all_pipe_dreams,
+    bottom_pipe_dream,
     ladder_move,
     schubert,
     simple_closure,
@@ -156,15 +157,16 @@ def test_slide_order_does_not_matter():
 # --- bad pairs -----------------------------------------------------------------
 
 
+# (parent, child, moves): the moves pin the walk's queue order
 BAD_PAIR_FIXTURES = {
-    (2, 4, 1, 3): ((1, 1), (2, 2)),
-    (2, 4, 3, 1): ((1, 1), (2, 2)),
-    (1, 4, 5, 2, 3): ((2, 1), (3, 2)),
-    (3, 2, 1, 5, 4): ((1, 2), (4, 1)),
-    (3, 4, 1, 2, 6, 5): ((1, 2), (5, 1)),
-    (2, 4, 5, 1, 3): ((1, 1), (2, 2)),
-    (1, 4, 6, 2, 3, 5): ((2, 1), (3, 3)),
-    (3, 2, 1, 4, 6, 5): ((1, 2), (5, 1)),
+    (2, 4, 1, 3): ((1, 1), (2, 2), ((2, 2),)),
+    (2, 4, 3, 1): ((1, 1), (2, 2), ((2, 2),)),
+    (1, 4, 5, 2, 3): ((2, 1), (3, 2), ((2, 2), (3, 2))),
+    (3, 2, 1, 5, 4): ((1, 2), (4, 1), ((4, 1),) * 3),
+    (3, 4, 1, 2, 6, 5): ((1, 2), (5, 1), ((5, 1),) * 4),
+    (2, 4, 5, 1, 3): ((1, 1), (2, 2), ((2, 2),)),
+    (1, 4, 6, 2, 3, 5): ((2, 1), (3, 3), ((3, 3),)),
+    (3, 2, 1, 4, 6, 5): ((1, 2), (5, 1), ((5, 1),) * 4),
 }
 
 
@@ -172,7 +174,7 @@ BAD_PAIR_FIXTURES = {
 def test_bad_pair_fixtures(w, pair):
     found = find_bad_pair(w)
     assert found is not None
-    assert (found.parent, found.child) == pair
+    assert (found.parent, found.child, found.moves) == pair
 
 
 def test_no_bad_pair_for_clean_shapes():
@@ -191,6 +193,8 @@ def test_bad_pair_witness_replays(w):
 def test_replay_rejects_blocked_moves():
     with pytest.raises(ValueError):
         replay_simple_moves((4, 1, 3, 2), ((1, 1),))
+    with pytest.raises(ValueError, match=r"\(9, 9\) is not a crossing id"):
+        replay_simple_moves((4, 1, 3, 2), ((9, 9),))
 
 
 def test_bad_pair_exists_iff_expansion_differs():
@@ -213,6 +217,23 @@ def reference_slide(d, width, cell):
     return target, d ^ _bit(cell, width) ^ _bit(target, width)
 
 
+def reference_closure(w):
+    # the order-0 closure on cell sets, one reference_slide per crossing
+    width = max(len(trim(w)), 1)
+    start = bottom_pipe_dream(w)
+    seen, stack = {start}, [start]
+    while stack:
+        cells = stack.pop()
+        for cell in cells:
+            slid = reference_slide(_mask(cells, width), width, cell)
+            if slid is not None:
+                moved = cells - {cell} | {slid[0]}
+                if moved not in seen:
+                    seen.add(moved)
+                    stack.append(moved)
+    return seen
+
+
 def test_reference_slide_is_the_order_zero_move():
     bottom = frozenset({(1, 1), (1, 2), (1, 3), (3, 1)})
     d = _mask(bottom, 4)
@@ -221,6 +242,7 @@ def test_reference_slide_is_the_order_zero_move():
     assert reference_slide(d, 4, (1, 3)) is None
     for n in range(1, 6):
         for w in all_permutations(n):
+            assert simple_closure(w) == reference_closure(w), w
             for dream in all_pipe_dreams(w):
                 d = _mask(dream, n)
                 for cell in dream:

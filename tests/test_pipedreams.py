@@ -260,7 +260,30 @@ def test_closure_certifies_every_move(monkeypatch):
 
     monkeypatch.setattr(pipedreams, "_open_moves", one_column_off)
     with pytest.raises(RuntimeError, match="broke reducedness"):
-        pipedreams._closure((1, 4, 3, 2))
+        simple_closure((1, 4, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (lambda d, width: d, "share a dream"),
+        # a crossing moved to (1, W), past the staircase
+        (lambda d, width: d & d - 1 | 1 << width - 1, "left the staircase"),
+        (lambda d, width: d & d - 1, "2 crossings, not 3"),
+    ],
+    ids=["twice", "staircase", "count"],
+)
+def test_closure_certifies_every_mask(monkeypatch, extra, message):
+    # the walk reports one more state, whose mask is made from the last one
+    walk = pipedreams._slide_walk
+
+    def one_more(code, width, parents):
+        prev, reached, stop = walk(code, width, parents)
+        return prev, [*reached, (-1, extra(reached[-1][1], width))], stop
+
+    monkeypatch.setattr(pipedreams, "_slide_walk", one_more)
+    with pytest.raises(RuntimeError, match=message):
+        simple_closure((1, 4, 3, 2))
 
 
 @given(perms())
