@@ -60,9 +60,9 @@ from .pipedreams import (
     Cell,
     PipeDream,
     _mask,
-    _open_moves,
     _schubert_divdiff_terms,
     _slide_walk,
+    _slides,
     schubert,
 )
 from .polynomials import _divided_difference, _Packing
@@ -120,21 +120,26 @@ class BadPair(NamedTuple):
 
 def replay_simple_moves(w: Permutation, moves) -> dict[Vertex, Cell]:
     """Slide the named crossings of the bottom pipe dream one step each, in
-    order; returns the final id -> cell placement.  Raises ValueError when a
-    slide is blocked or an id names no crossing."""
+    order; returns the final id -> cell placement.  An id may be a list
+    [r, t], as ``check --json`` prints it.  Raises ValueError when a slide
+    is blocked or an id names no crossing."""
     w = trim(w)
     width = len(w)
     ids = forest_from_code(lehmer_code(w)).vertices
     pos: dict[Vertex, Cell] = {v: v for v in ids}
     occupied = _mask(ids, width)
     for moved in moves:
-        if moved not in pos:
-            raise ValueError(f"{moved} is not a crossing id of the bottom pipe dream of {w}")
-        r, c = pos[moved]
+        key = tuple(moved) if isinstance(moved, list) else moved
+        try:
+            r, c = pos[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise ValueError(
+                f"{moved} is not a crossing id of the bottom pipe dream of {w}"
+            ) from None
         at = (r - 1) * width + c - 1
-        if not _open_moves(occupied, width)[0] >> at & 1:
+        if not _slides(occupied, width) >> at & 1:
             raise ValueError(f"simple move of {moved} not applicable at {(r, c)}")
-        pos[moved] = (r - 1, c + 1)
+        pos[key] = (r - 1, c + 1)
         occupied ^= 1 << at | 1 << at - width + 1
     return pos
 

@@ -51,7 +51,7 @@ class IndexedForest:
     vertices: tuple[Vertex, ...]  # sorted (rho, ordinal)
     covers: tuple[tuple[Vertex, Vertex], ...]  # (parent, right child), sorted
     # _layout(code)'s labeling steps, the one statement of the structure
-    # that parent(), roots(), the labeling rule and the polynomial read
+    # that roots(), the labeling rule and the polynomial read
     steps: tuple[tuple[int, int, int, int], ...]
 
     def __init__(self, code, vertices, covers, steps) -> None:
@@ -91,15 +91,6 @@ class IndexedForest:
 
     def right_child(self, v: Vertex) -> Optional[Vertex]:
         return self._right_child.get(v)
-
-    @functools.cached_property
-    def _parent(self) -> dict[Vertex, tuple[Vertex, bool]]:
-        """child -> (parent, child_is_right); a right child starts at 0."""
-        v = self.vertices
-        return {v[s]: (v[p], start == 0) for s, p, start, _ in self.steps if p >= 0}
-
-    def parent(self, v: Vertex) -> Optional[tuple[Vertex, bool]]:
-        return self._parent.get(v)
 
     def roots(self) -> tuple[Vertex, ...]:
         # root steps come in row order, so in vertex order

@@ -19,17 +19,18 @@ the rows that complete one such line are built once for every prefix that
 reaches it.  The test suite keeps the closure under ladder moves of every
 order as the reference for the transfer.
 
-Inside this module a dream is also one int, a mask.  In ``ladder_move``
-and ``_slide_walk``, the one order-0 walk, cell (r, c) is bit
+``ladder_move`` applies the Bergeron-Billey rule to one crossing of a
+cell set.  Inside this module a dream is also one int, a mask.  In
+``_slide_walk``, the one order-0 walk, cell (r, c) is bit
 (r - 1) * W + (c - 1) for a width W above every column, W = len(w);
-``_open_moves`` finds the crossings that can move, ``_climb`` carries
-ladder starts up to where they land, and ``_replay`` reads a mask's word
-back to its permutation.  ``simple_closure`` takes the whole walk; the
-bad-pair search in ``correspondence`` stops it at the first crossing level
-with its cover parent.  The transfer's masks index a crossing by its row
-and its letter instead.  Both certify every dream they return with
-explicit checks that raise RuntimeError.  One cache entry per permutation
-holds its dreams and its Schubert polynomial.
+``_slides`` finds the crossings that can slide, and ``_replay`` reads a
+mask's word back to its permutation.  ``simple_closure`` takes the whole
+walk; the bad-pair search in ``correspondence`` stops it at the first
+crossing level with its cover parent.  The transfer's masks index a
+crossing by its row and its letter instead.  ``ladder_move``, the walk's
+closure and the transfer certify what they return with explicit checks
+that raise RuntimeError.  One cache entry per permutation holds its dreams
+and its Schubert polynomial.
 """
 
 from __future__ import annotations
@@ -66,17 +67,13 @@ __all__ = [
 ]
 
 
-def _bit(cell: Cell, width: int) -> int:
-    return 1 << ((cell[0] - 1) * width + cell[1] - 1)
-
-
 def _mask(cells, width: int) -> int:
     """Cells as one int: (r, c) is bit (r - 1) * width + (c - 1).  Every
     column must be below ``width``, so column ``width`` of each row stays
     empty and a shift by one bit never carries a cell into the next row."""
     d = 0
-    for cell in cells:
-        d |= _bit(cell, width)
+    for r, c in cells:
+        d |= 1 << (r - 1) * width + c - 1
     return d
 
 
@@ -117,36 +114,12 @@ def bottom_pipe_dream(w: Permutation) -> PipeDream:
     )
 
 
-def _open_moves(d: int, width: int) -> tuple[int, int]:
-    """The crossings of mask ``d`` (width ``width``) that can move, as two
-    masks: simple slides and ladder starts.  Of the crossings below row 1
-    with (r, c+1) empty, those with (r-1, c) and (r-1, c+1) both empty take
-    the simple slide, those with both full start a ladder, and the mixed
-    ones cannot move."""
+def _slides(d: int, width: int) -> int:
+    """The crossings of mask ``d`` (width ``width``) that can take the
+    simple slide, the order-0 ladder move, to (r-1, c+1): those below row 1
+    with (r, c+1), (r-1, c) and (r-1, c+1) all empty."""
     free = d & ~(d >> 1) & -(1 << width)  # -(1 << width) masks off row 1
-    up, up_right = d << width, d << (width - 1)
-    return free & ~(up | up_right), free & up & up_right
-
-
-def _climb(d: int, width: int, starts: int) -> list[tuple[int, int]]:
-    """Where the ladder starts ``starts`` of mask ``d`` land, as (landed,
-    shift) pairs, one per row climbed: each crossing of ``landed`` moves
-    to bit >> (shift - 1), shift // width rows up and one column right, by
-    a move of order shift // width - 1.
-
-    The starts climb together.  At each higher row r', those with (r', c)
-    and (r', c+1) both empty land at (r', c+1), those with both full climb
-    on, and the rest, blocked by a mixed row or the top edge, drop out.
-    """
-    full = d & (d >> 1)
-    empty = ~(d | (d >> 1))
-    landings = []
-    shift = 2 * width
-    while starts:
-        landings.append((starts & (empty << shift), shift))
-        starts &= full << shift
-        shift += width
-    return landings
+    return free & ~(d << width | d << (width - 1))
 
 
 def _slide_walk(code, width: int, parents) -> tuple[dict, list, Optional[int]]:
@@ -179,7 +152,7 @@ def _slide_walk(code, width: int, parents) -> tuple[dict, list, Optional[int]]:
     prev: dict[int, Optional[tuple[int, int]]] = {state: None}
     reached = [(state, occupied)]
     for state, occupied in reached:  # the list is the queue
-        slides = _open_moves(occupied, width)[0]
+        slides = _slides(occupied, width)
         for i, shift, offset, parent in crossings:
             row = state >> shift & field
             at = row * step + offset
@@ -196,21 +169,24 @@ def _slide_walk(code, width: int, parents) -> tuple[dict, list, Optional[int]]:
 
 
 def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
-    """Apply the order-k ladder move at ``cell``; None when not applicable."""
+    """Apply the order-k ladder move at ``cell``; None when not applicable.
+
+    Crossing (r, c) moves to (r - k - 1, c + 1) when (r, c + 1) is empty,
+    rows r - 1 .. r - k are full in columns c and c + 1, and row r - k - 1
+    is empty there (Bergeron-Billey).  Order 0 is the simple slide."""
     if cell not in cells:
         raise ValueError(f"{cell} is not a crossing of the pipe dream")
-    width = 1 + max(c for _, c in cells)
-    d, bit = _mask(cells, width), _bit(cell, width)
-    simple, ladders = _open_moves(d, width)
-    for landed, shift in [(simple, width), *_climb(d, width, ladders & bit)]:
-        # a move of order k climbs k + 1 rows
-        if landed & bit and shift // width == k + 1:
-            r, c = cell
-            moved = (cells - {cell}) | {(r - k - 1, c + 1)}
-            if permutation_of(moved) != permutation_of(cells):
-                raise RuntimeError(f"ladder move at {cell} broke reducedness")
-            return frozenset(moved)
-    return None
+    r, c = cell
+    top = r - k - 1
+    if top < 1 or (r, c + 1) in cells:
+        return None
+    rungs = [((row, c) in cells, (row, c + 1) in cells) for row in range(top, r)]
+    if rungs != [(False, False)] + [(True, True)] * k:
+        return None
+    moved = (cells - {cell}) | {(top, c + 1)}
+    if permutation_of(moved) != permutation_of(cells):
+        raise RuntimeError(f"ladder move at {cell} broke reducedness")
+    return frozenset(moved)
 
 
 def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:

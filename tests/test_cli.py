@@ -5,7 +5,9 @@ import pytest
 
 from forestry import cli, correspondence
 from forestry.cli import main
+from forestry.correspondence import find_bad_pair, replay_simple_moves
 from forestry.forests import forest_from_code, forest_to_json
+from forestry.permutations import all_permutations
 from forestry.pipedreams import schubert
 
 
@@ -178,6 +180,23 @@ def test_check_json(capsys):
     ]
     assert obj["bad_pair"]["parent"] == [1, 2]
     assert obj["bad_pair"]["child"] == [5, 1]
+
+
+def test_check_json_moves_replay_as_printed(capsys):
+    # the moves come back from JSON as [r, t] lists; they replay to the
+    # placement of the tuple moves
+    witnessed = 0
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            code, out, _ = run(capsys, "check", "".join(map(str, w)), "--json")
+            assert code == 0
+            bad = json.loads(out)["bad_pair"]
+            if bad is None:
+                continue
+            witnessed += 1
+            expected = replay_simple_moves(w, find_bad_pair(w).moves)
+            assert replay_simple_moves(w, bad["moves"]) == expected, w
+    assert witnessed > 0
 
 
 # --- pipedreams ---------------------------------------------------------------

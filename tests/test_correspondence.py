@@ -32,7 +32,6 @@ from forestry.permutations import (
 )
 from forestry.polynomials import Polynomial, monomial_of
 from forestry.pipedreams import (
-    _bit,
     _mask,
     all_pipe_dreams,
     bottom_pipe_dream,
@@ -195,6 +194,10 @@ def test_replay_rejects_blocked_moves():
         replay_simple_moves((4, 1, 3, 2), ((1, 1),))
     with pytest.raises(ValueError, match=r"\(9, 9\) is not a crossing id"):
         replay_simple_moves((4, 1, 3, 2), ((9, 9),))
+    # ids read back from JSON: a short list, and one that cannot be hashed
+    for moves in [([2],), ([2, [2]],)]:
+        with pytest.raises(ValueError, match="is not a crossing id"):
+            replay_simple_moves((2, 4, 1, 3), moves)
 
 
 def test_bad_pair_exists_iff_expansion_differs():
@@ -212,9 +215,9 @@ def reference_slide(d, width, cell):
     # after it, when (r, c+1), (r-1, c) and (r-1, c+1) are all empty
     r, c = cell
     target = (r - 1, c + 1)
-    if r == 1 or any(d & _bit(x, width) for x in [(r, c + 1), (r - 1, c), target]):
+    if r == 1 or d & _mask([(r, c + 1), (r - 1, c), target], width):
         return None
-    return target, d ^ _bit(cell, width) ^ _bit(target, width)
+    return target, d ^ _mask([cell, target], width)
 
 
 def reference_closure(w):

@@ -39,6 +39,18 @@ def subtree(forest, v):
     return out
 
 
+def parent_map(forest):
+    # child -> (parent, child is right), read off the two child maps; a
+    # vertex is the child of at most one vertex
+    up = {}
+    for v in forest.vertices:
+        for child, is_right in [(forest.left_child(v), False), (forest.right_child(v), True)]:
+            if child is not None:
+                assert child not in up, child
+                up[child] = (v, is_right)
+    return up
+
+
 # --- construction -------------------------------------------------------------
 
 
@@ -51,7 +63,6 @@ def test_left_chain_structure():
     forest = forest_from_code((0, 3))
     assert forest.left_child((2, 3)) == (2, 2)
     assert forest.left_child((2, 1)) is None
-    assert forest.parent((2, 2)) == ((2, 3), False)
     assert forest.roots() == ((2, 3),)
 
 
@@ -133,11 +144,9 @@ def test_cover_structure_invariants(code):
         assert child[1] == code[child[0] - 1]
         assert child not in seen_children
         seen_children.add(child)
-    for v in forest.vertices:
-        up = forest.parent(v)
-        if up is not None:
-            parent, is_right = up
-            assert forest.right_child(parent) == v if is_right else True
+    # the roots, read off the labeling steps, are the vertices no child map
+    # reaches
+    assert set(forest.roots()) == set(forest.vertices) - set(parent_map(forest))
 
 
 @given(codes())
@@ -215,8 +224,9 @@ def reference_steps(code, covers):
 
 def reference_labelings(forest, order):
     # valid labelings in lex order of their values read in ``order``; each
-    # vertex's constraint comes from the forest's own parent map
+    # vertex's constraint comes from the forest's own child maps
     slot = {v: i for i, v in enumerate(forest.vertices)}
+    parents = parent_map(forest)
     out, values = [], [0] * len(forest.vertices)
 
     def extend(k):
@@ -225,7 +235,7 @@ def reference_labelings(forest, order):
             return
         v = forest.vertices[order[k]]
         low = 1
-        up = forest.parent(v)
+        up = parents.get(v)
         if up is not None:
             parent, is_right = up
             low = values[slot[parent]] + is_right

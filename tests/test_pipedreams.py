@@ -146,21 +146,21 @@ def reference_move(d, width, cell):
     return None
 
 
-def whole_mask_moves(d, width):
-    # every move of mask d, as cell -> (order, target), from the two masks
-    # of _open_moves and the landings of _climb
-    def cell_of(bit):
-        i = bit.bit_length() - 1
-        return i // width + 1, i % width + 1
-
-    simple, ladders = pipedreams._open_moves(d, width)
+def whole_mask_moves(cells, width):
+    # every move of the cell set, as cell -> (order, target), from
+    # ladder_move at each order 0 .. width + 1; its order-0 moves must be
+    # exactly the crossings of the one mask of _slides
     found = {}
-    for landed, shift in [(simple, width), *pipedreams._climb(d, width, ladders)]:
-        while landed:
-            bit = landed & -landed
-            landed ^= bit
-            assert cell_of(bit) not in found
-            found[cell_of(bit)] = (shift // width - 1, cell_of(bit >> (shift - 1)))
+    for cell in cells:
+        for k in range(width + 2):
+            moved = ladder_move(cells, cell, k)
+            if moved is not None:
+                assert cell not in found
+                (target,) = moved - cells
+                found[cell] = (k, target)
+    slides = [cell for cell, (k, _) in found.items() if k == 0]
+    d = pipedreams._mask(cells, width)
+    assert pipedreams._slides(d, width) == pipedreams._mask(slides, width)
     return found
 
 
@@ -171,20 +171,15 @@ def check_moves_match_the_scan(cells, width):
         move = reference_move(d, width, cell)
         if move is not None:
             expected[cell] = move
-    assert whole_mask_moves(d, width) == expected, sorted(cells)
-    return expected
+    assert whole_mask_moves(cells, width) == expected, sorted(cells)
 
 
 def test_whole_mask_moves_match_the_per_cell_scan():
+    # every crossing and every order 0 .. len(w) + 1 of every dream
     for n in range(1, 7):
         for w in all_permutations(n):
             for dream in all_pipe_dreams(w):
-                moves = check_moves_match_the_scan(dream, n)
-                # ladder_move, on masks of its own width, agrees
-                for cell in dream:
-                    order, target = moves.get(cell, (0, None))
-                    expected = None if target is None else dream - {cell} | {target}
-                    assert ladder_move(dream, cell, order) == expected
+                check_moves_match_the_scan(dream, n)
 
 
 @st.composite
@@ -252,13 +247,12 @@ def test_closure_matches_every_reduced_subset_of_the_staircase():
 def test_closure_certifies_every_move(monkeypatch):
     # slides taken from the crossing one column left of each open one land
     # on that crossing's column; the order-0 closure must stop
-    open_moves = pipedreams._open_moves
+    slides = pipedreams._slides
 
     def one_column_off(d, width):
-        simple, ladders = open_moves(d, width)
-        return simple >> 1 & d, ladders
+        return slides(d, width) >> 1 & d
 
-    monkeypatch.setattr(pipedreams, "_open_moves", one_column_off)
+    monkeypatch.setattr(pipedreams, "_slides", one_column_off)
     with pytest.raises(RuntimeError, match="broke reducedness"):
         simple_closure((1, 4, 3, 2))
 
@@ -298,26 +292,23 @@ def test_dream_count_matches_coefficient_sum(w):
 
 def ladder_closure(w):
     """Reference: the dreams of w reachable from the bottom one by ladder
-    moves of every order (Bergeron-Billey), as cell sets.  Masks of width
-    len(w); ``_open_moves`` gives the slides and ladder starts, ``_climb``
-    where the ladder starts land."""
+    moves of every order (Bergeron-Billey), as cell sets, one
+    ``reference_move`` per crossing on masks of width len(w)."""
     w = trim(w)
     width = max(len(w), 1)
-    start = pipedreams._mask(bottom_pipe_dream(w), width)
+    start = bottom_pipe_dream(w)
     seen, stack = {start}, [start]
     while stack:
-        d = stack.pop()
-        simple, ladders = pipedreams._open_moves(d, width)
-        for landed, shift in [(simple, width), *pipedreams._climb(d, width, ladders)]:
-            while landed:
-                bit = landed & -landed
-                landed ^= bit
-                moved = d ^ bit ^ bit >> (shift - 1)
+        cells = stack.pop()
+        d = pipedreams._mask(cells, width)
+        for cell in cells:
+            move = reference_move(d, width, cell)
+            if move is not None:
+                moved = cells - {cell} | {move[1]}
                 if moved not in seen:
                     seen.add(moved)
                     stack.append(moved)
-    cells = [(i // width + 1, i % width + 1) for i in range(width * width)]
-    return {frozenset(c for i, c in enumerate(cells) if d >> i & 1) for d in seen}
+    return seen
 
 
 def check_transfer_matches_ladder_moves(n):

@@ -1,0 +1,53 @@
+"""Rules on the package source, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+import forestry
+
+SRC = Path(forestry.__file__).resolve().parent
+
+
+def defined_names(stmt):
+    # the module-level names one top-level statement defines
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def used_names(node):
+    # names read anywhere under node, bare or as an attribute
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+    return used
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # code that only its own unit test calls is wired into a real workflow
+    # or deleted: each module-level _name in src/forestry/ must be read
+    # somewhere in the package outside its own definition
+    statements = [
+        stmt
+        for path in sorted(SRC.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    uses = [used_names(stmt) for stmt in statements]
+    unused = sorted(
+        name
+        for i, stmt in enumerate(statements)
+        for name in defined_names(stmt)
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not any(name in used for j, used in enumerate(uses) if j != i)
+    )
+    assert unused == []
