@@ -59,10 +59,10 @@ from .permutations import (
 from .pipedreams import (
     Cell,
     PipeDream,
-    _mask,
+    _moves,
     _schubert_divdiff_terms,
     _slide_walk,
-    _slides,
+    _start,
     schubert,
 )
 from .polynomials import _divided_difference, _Packing
@@ -120,27 +120,23 @@ class BadPair(NamedTuple):
 
 def replay_simple_moves(w: Permutation, moves) -> dict[Vertex, Cell]:
     """Slide the named crossings of the bottom pipe dream one step each, in
-    order; returns the final id -> cell placement.  An id may be a list
-    [r, t], as ``check --json`` prints it.  Raises ValueError when a slide
-    is blocked or an id names no crossing."""
+    order, on the states of the order-0 walk; returns the final id -> cell
+    placement.  An id may be a list [r, t], as ``check --json`` prints it.
+    Raises ValueError when a slide is blocked or an id names no crossing."""
     w = trim(w)
-    width = len(w)
     ids = forest_from_code(lehmer_code(w)).vertices
     pos: dict[Vertex, Cell] = {v: v for v in ids}
-    occupied = _mask(ids, width)
+    frame, state, occupied = _start(ids, len(w))
     for moved in moves:
         key = tuple(moved) if isinstance(moved, list) else moved
-        try:
-            r, c = pos[key]
-        except (KeyError, TypeError):  # TypeError: an unhashable value
-            raise ValueError(
-                f"{moved} is not a crossing id of the bottom pipe dream of {w}"
-            ) from None
-        at = (r - 1) * width + c - 1
-        if not _slides(occupied, width) >> at & 1:
-            raise ValueError(f"simple move of {moved} not applicable at {(r, c)}")
-        pos[key] = (r - 1, c + 1)
-        occupied ^= 1 << at | 1 << at - width + 1
+        if key not in ids:  # a scan, not a hash: an unhashable value is no error
+            raise ValueError(f"{moved} is not a crossing id of the bottom pipe dream of {w}")
+        i = ids.index(key)
+        step = next((m for m in _moves(frame, state, occupied) if m[0] == i), None)
+        if step is None:
+            raise ValueError(f"simple move of {moved} not applicable at {pos[key]}")
+        _, row, state, occupied = step
+        pos[key] = (row - 1, sum(key) - row + 1)  # the slide keeps the letter
     return pos
 
 
@@ -152,19 +148,19 @@ def find_bad_pair(w: Permutation) -> Optional[BadPair]:
     return _search_bad_pair(code, _layout(code)[1], len(w))
 
 
-def _search_bad_pair(code, covers, width: int) -> Optional[BadPair]:
+def _search_bad_pair(code, covers, n: int) -> Optional[BadPair]:
     """``find_bad_pair`` for the permutation of the trimmed ``code``, whose
-    trimmed length is ``width``; ``covers`` are ``_layout(code)``'s.  The
+    trimmed length is ``n``; ``covers`` are ``_layout(code)``'s.  The
     walk never stops at its start, as cover children lie in later rows."""
     if not covers:
         return None
     parents = [-1] * sum(code)
     for parent, child in covers:
         parents[child] = parent
-    prev, _, stop = _slide_walk(code, width, parents)
+    ids = [(row, t) for row, k in enumerate(code, start=1) for t in range(1, k + 1)]
+    prev, _, stop = _slide_walk(ids, n, parents)
     if stop is None:
         return None
-    ids = [(row, t) for row, k in enumerate(code, start=1) for t in range(1, k + 1)]
     child = prev[stop][1]
     moves: list[Vertex] = []
     while prev[stop] is not None:

@@ -20,17 +20,17 @@ reaches it.  The test suite keeps the closure under ladder moves of every
 order as the reference for the transfer.
 
 ``ladder_move`` applies the Bergeron-Billey rule to one crossing of a
-cell set.  Inside this module a dream is also one int, a mask.  In
-``_slide_walk``, the one order-0 walk, cell (r, c) is bit
-(r - 1) * W + (c - 1) for a width W above every column, W = len(w);
-``_slides`` finds the crossings that can slide, and ``_replay`` reads a
-mask's word back to its permutation.  ``simple_closure`` takes the whole
-walk; the bad-pair search in ``correspondence`` stops it at the first
-crossing level with its cover parent.  The transfer's masks index a
-crossing by its row and its letter instead.  ``ladder_move``, the walk's
-closure and the transfer certify what they return with explicit checks
-that raise RuntimeError.  One cache entry per permutation holds its dreams
-and its Schubert polynomial.
+cell set.  Inside this module a dream is also one int, a mask, in one
+frame: for w of trimmed length n with k leading fixed points, cell (r, c)
+carries letter a = r + c - 1 and is bit (r - 1) * S + a - k - 1, S = n - k.
+Slot S - 1 of each row is a spare that stays empty, so a shift by one bit
+never carries a cell into the next row.  ``_transfer`` builds masks row by
+row; ``simple_closure`` takes the whole of ``_slide_walk``, the one order-0
+walk, and the bad-pair search in ``correspondence`` stops it at the first
+crossing level with its cover parent.  ``ladder_move``, the walk's closure
+and the transfer certify what they return with explicit checks that raise
+RuntimeError.  One cache entry per permutation holds its dreams and its
+Schubert polynomial.
 """
 
 from __future__ import annotations
@@ -67,44 +67,44 @@ __all__ = [
 ]
 
 
-def _mask(cells, width: int) -> int:
-    """Cells as one int: (r, c) is bit (r - 1) * width + (c - 1).  Every
-    column must be below ``width``, so column ``width`` of each row stays
-    empty and a shift by one bit never carries a cell into the next row."""
+def _mask(cells, stride: int, k: int) -> int:
+    """Cells as one int in the frame of stride ``stride`` above ``k``
+    leading fixed points: (r, c) is bit (r - 1) * stride + r + c - k - 2."""
     d = 0
     for r, c in cells:
-        d |= 1 << (r - 1) * width + c - 1
+        d |= 1 << (r - 1) * stride + r + c - k - 2
     return d
 
 
-def _replay(d: int, width: int, size: int) -> Optional[Permutation]:
-    """Read the dream of mask ``d`` row by row top to bottom, right to left
-    within a row, applying each s_a to 1..size as a right multiplication;
-    the trimmed result, or None when a step would cancel an inversion."""
-    line = list(range(1, size + 1))
-    row_bits = (1 << width) - 1
-    offset = 0  # cell (r, c) carries s_(r + c - 1): offset r - 1 plus c
+def _replay(d: int, line: list) -> Optional[tuple]:
+    """Apply the letters of mask ``d``, rows top to bottom and each right to
+    left, to ``line``, the values at positions k + 1 .. n, as right
+    multiplications: slot i swaps entries i and i + 1.  The line reached, or
+    None when a step would cancel an inversion."""
+    stride = len(line)
+    row_bits = (1 << stride) - 1
     while d:
         bits = d & row_bits
         while bits:
-            c = bits.bit_length()
-            bits ^= 1 << (c - 1)
-            a = offset + c
-            left, right = line[a - 1], line[a]
+            i = bits.bit_length() - 1
+            bits ^= 1 << i
+            left, right = line[i], line[i + 1]
             if left > right:
                 return None
-            line[a - 1], line[a] = right, left
-        d >>= width
-        offset += 1
-    return trim(tuple(line))
+            line[i], line[i + 1] = right, left
+        d >>= stride
+    return tuple(line)
 
 
 def permutation_of(cells) -> Optional[Permutation]:
-    """Target permutation of a reduced crossing set, or None if not reduced."""
-    if not cells:
-        return ()
-    width = 1 + max(c for _, c in cells)
-    return _replay(_mask(cells, width), width, max(r + c for r, c in cells))
+    """Target permutation of a reduced crossing set, or None if not reduced.
+    Raises ValueError on a cell with a row or column below 1."""
+    bad = next((cell for cell in cells if min(cell) < 1), None)
+    if bad is not None:
+        raise ValueError(f"{bad} is not a cell: rows and columns start at 1")
+    size = max((r + c for r, c in cells), default=0)
+    line = _replay(_mask(cells, size, 0), list(range(1, size + 1)))
+    return None if line is None else trim(line)
 
 
 def bottom_pipe_dream(w: Permutation) -> PipeDream:
@@ -114,57 +114,64 @@ def bottom_pipe_dream(w: Permutation) -> PipeDream:
     )
 
 
-def _slides(d: int, width: int) -> int:
-    """The crossings of mask ``d`` (width ``width``) that can take the
-    simple slide, the order-0 ladder move, to (r-1, c+1): those below row 1
-    with (r, c+1), (r-1, c) and (r-1, c+1) all empty."""
-    free = d & ~(d >> 1) & -(1 << width)  # -(1 << width) masks off row 1
-    return free & ~(d << width | d << (width - 1))
+def _slides(d: int, stride: int) -> int:
+    """The crossings of mask ``d`` that can take the simple slide, the
+    order-0 ladder move, to (r - 1, c + 1): those below row 1 with
+    (r, c + 1), (r - 1, c) and (r - 1, c + 1) all empty.  A slide keeps its
+    letter, so it lowers the bit by ``stride``."""
+    return d & ~(d >> 1) & ~(d << stride) & ~(d << stride + 1) & -(1 << stride)
 
 
-def _slide_walk(code, width: int, parents) -> tuple[dict, list, Optional[int]]:
+def _start(cells, n: int) -> tuple[tuple, int, int]:
+    """``_slide_walk``'s frame, first state and mask.  The frame is the
+    stride (the first row of ``cells`` is k + 1), the mask of one field and,
+    per crossing, (slot, field shift, offset): a slide keeps the letter, so
+    the crossing's bit is row * stride + offset."""
+    k = cells[0][0] - 1 if cells else 0
+    stride, bits = n - k, cells[-1][0].bit_length() if cells else 0
+    crossings = [(i, i * bits, r + t - n - 2) for i, (r, t) in enumerate(cells)]
+    state = sum([r << i * bits for i, (r, _) in enumerate(cells)])
+    return (stride, (1 << bits) - 1, crossings), state, _mask(cells, stride, k)
+
+
+def _moves(frame: tuple, state: int, occupied: int):
+    """Yield (slot, row, next state, next mask) for each crossing of
+    ``state``, with mask ``occupied``, that can slide up from ``row``."""
+    stride, field, crossings = frame
+    slides = _slides(occupied, stride)
+    for i, shift, offset in crossings:
+        row = state >> shift & field
+        at = row * stride + offset
+        if slides >> at & 1:
+            yield i, row, state - (1 << shift), occupied ^ (1 << at) ^ (1 << at - stride)
+
+
+def _slide_walk(cells, n: int, parents) -> tuple[dict, list, Optional[int]]:
     """The one order-0 walk: breadth first over the id-tracked states of
-    the bottom dream of ``code``, on masks of width ``width``.  A state is
-    one int with a field per crossing, in ``_layout``'s slot order, holding
-    its row, which fixes its cell, as a slide keeps r + c; rows only fall
-    from rho <= len(code), which sizes the fields.  ``parents[i]`` is the
-    slot of the cover parent of slot i, or -1.  A slide can only bring the
-    moved crossing level with its parent, so the walk checks that one pair
-    as it queues each state, and stops at the first level one.  Returns
-    ``prev`` (state -> the previous state and the slot that moved, None at
-    the start), the reached (state, mask) pairs in queue order, and the
-    stopping state, None when the closure is complete.
+    the bottom dream, with crossings ``cells`` in ``_layout``'s slot order,
+    of a w of trimmed length ``n``.  A state is one int with a field per
+    crossing holding its row, which fixes its cell; rows only fall, from
+    at most the last row of ``cells``, which sizes the fields.
+    ``parents[i]`` is the slot of the cover parent of slot i, or -1.  A
+    slide can only bring the moved crossing level with its parent, so the
+    walk checks that one pair as it queues each state, and stops at the
+    first level one.  Returns ``prev`` (state -> the previous state and the
+    slot that moved, None at the start), the reached (state, mask) pairs in
+    queue order, and the stopping state, None when the closure is complete.
     """
-    bits = len(code).bit_length()
-    field = (1 << bits) - 1
-    # cell (r, c) is bit (r - 1) * width + c - 1: on the diagonal
-    # r + c = rho + t of crossing (rho, t) that is r * step + offset, and a
-    # slide to (r - 1, c + 1) lowers it by step
-    step = width - 1
-    crossings = []  # (slot, field shift, offset, cover parent's slot or -1)
-    state = occupied = 0
-    for row, k in enumerate(code, start=1):
-        for t in range(1, k + 1):
-            i = len(crossings)
-            state |= row << i * bits
-            crossings.append((i, i * bits, row + t - width - 1, parents[i]))
-        occupied |= ((1 << k) - 1) << (row - 1) * width
+    frame, state, occupied = _start(cells, n)
+    _, field, crossings = frame
     prev: dict[int, Optional[tuple[int, int]]] = {state: None}
     reached = [(state, occupied)]
     for state, occupied in reached:  # the list is the queue
-        slides = _slides(occupied, width)
-        for i, shift, offset, parent in crossings:
-            row = state >> shift & field
-            at = row * step + offset
-            if not slides >> at & 1:
-                continue
-            nxt = state - (1 << shift)
+        for i, row, nxt, moved in _moves(frame, state, occupied):
             if nxt in prev:
                 continue
             prev[nxt] = (state, i)
-            if parent >= 0 and row - 1 <= nxt >> parent * bits & field:
+            parent = parents[i]
+            if parent >= 0 and row - 1 <= nxt >> crossings[parent][1] & field:
                 return prev, reached, nxt
-            reached.append((nxt, occupied ^ (1 << at) ^ (1 << at - step)))
+            reached.append((nxt, moved))
     return prev, reached, None
 
 
@@ -238,9 +245,8 @@ def _transfer(w: Permutation) -> tuple[frozenset, Polynomial]:
     by every prefix that reaches it: per node, a list of dream masks and
     the list of their packed weights, from the last layer up, with no
     recursion.
-    A dream mask has bit (r - 1) * L + a - k - 1 for the crossing of row r
-    that carries letter a, L = n - 1 - k the letters w can use, so a long
-    w with k leading fixed points keeps short masks.
+    Its masks are in the module's frame, with stride n - k, so a long w
+    with k leading fixed points keeps short masks.
 
     The certificate raises RuntimeError: every letter is an ascent when it
     is placed, every line after the last row is w, every dream has l(w)
@@ -251,32 +257,24 @@ def _transfer(w: Permutation) -> tuple[frozenset, Polynomial]:
         return frozenset({frozenset()}), Polynomial.one()
     n = len(w)
     k = next(i for i, v in enumerate(w) if v != i + 1)
-    letters = n - 1 - k
+    stride = n - k
     code = lehmer_code(w)
-    # row r holds at most one crossing per letter
-    packing = _Packing(n, letters)
+    # row r holds at most one crossing per letter, of n - 1 - k
+    packing = _Packing(n, stride - 1)
     pos = (0, *inverse(w))  # pos[v]: the position of v in w
     layers = []
     frontier = {tuple(range(k + 1, n + 1)): 0}
     for r in range(1, n):
-        shift, unit, target = (r - 1) * letters, packing.units[r], w[r - 1]
+        shift, unit, target = (r - 1) * stride, packing.units[r], w[r - 1]
         children: dict = {}
         layer = []
         for line in frontier:
             edges = []
             for bits in _rows(line, r - k - 1, target, pos):
-                u = list(line)
-                rest = bits
-                while rest:
-                    i = rest.bit_length() - 1
-                    rest ^= 1 << i
-                    if u[i] > u[i + 1]:
-                        raise RuntimeError(
-                            f"letter {i + k + 1} in row {r} of a dream of {w}"
-                            " is not an ascent"
-                        )
-                    u[i], u[i + 1] = u[i + 1], u[i]
-                child = children.setdefault(tuple(u), len(children))
+                u = _replay(bits, list(line))
+                if u is None:
+                    raise RuntimeError(f"a letter in row {r} of a dream of {w} is not an ascent")
+                child = children.setdefault(u, len(children))
                 edges.append((bits << shift, bits.bit_count() * unit, child))
             layer.append(edges)
         layers.append(layer)
@@ -299,16 +297,7 @@ def _transfer(w: Permutation) -> tuple[frozenset, Polynomial]:
             weights_up.append(node_weights)
         masks, weights = masks_up, weights_up
     (masks,), (weights,) = masks, weights
-    cell_at = [(r, i + k + 2 - r) for r in range(1, n) for i in range(letters)]
-    # all crossings but the last come off the binary digits, and the last
-    # joins by set union: that sizes each frozenset's table as the set
-    # algebra of a closure does, half of what one pass over 5 to 8 cells
-    # would allocate
-    dreams = frozenset(
-        frozenset(compress(cell_at, bin(d)[:2:-1].encode().translate(_BITS)))
-        | {cell_at[d.bit_length() - 1]}
-        for d in masks
-    )
+    dreams = _dreams(masks, n, k)
     n_inv = sum(code)
     if len(dreams) != len(masks) or any(d.bit_count() != n_inv for d in masks):
         raise RuntimeError(f"the dreams of {w} are not {len(masks)} distinct reduced words")
@@ -330,30 +319,44 @@ def all_pipe_dreams(w: Permutation) -> frozenset:
     return _transfer_cached(trim(w))[0]
 
 
+def _dreams(masks, n: int, k: int) -> frozenset:
+    """The nonzero ``masks`` of the frame (n, k) as a frozenset of cell sets.
+    All crossings but the last come off the binary digits, and the last
+    joins by set union: that sizes each frozenset's table as the set algebra
+    of a closure does, half of what one pass over 5 to 8 cells allocates."""
+    cell_at = [(r, i + k + 2 - r) for r in range(1, n) for i in range(n - k)]
+    return frozenset(
+        frozenset(compress(cell_at, bin(d)[:2:-1].encode().translate(_BITS)))
+        | {cell_at[d.bit_length() - 1]}
+        for d in masks
+    )
+
+
 def simple_closure(w: Permutation) -> frozenset:
     """Pipe dreams reachable from the bottom one by order-0 moves alone:
-    the whole ``_slide_walk``, its masks as cell sets.  Each mask must lie
-    in the staircase r + c <= len(w), have l(w) crossings, replay to w and
-    belong to no other state, else RuntimeError."""
+    the whole ``_slide_walk``, its masks as cell sets.  Each mask must keep
+    the spare slots empty (the staircase r + c <= len(w)), have l(w)
+    crossings, replay to w and be no other state's, else RuntimeError."""
     w = trim(w)
-    width = max(len(w), 1)  # the identity's one empty dream still gets a row
-    code = lehmer_code(w)
-    n_inv = sum(code)
-    _, reached, _ = _slide_walk(code, width, [-1] * n_inv)
-    outside = ~sum(((1 << (width - 1 - i)) - 1) << (i * width) for i in range(width))
-    cell_at = [(i // width + 1, i % width + 1) for i in range(width * width)]
-    dreams = set()
+    if not w:
+        return frozenset({frozenset()})
+    n = len(w)
+    k = next(i for i, v in enumerate(w) if v != i + 1)
+    bottom = sorted(bottom_pipe_dream(w))
+    n_inv = len(bottom)
+    _, reached, _ = _slide_walk(bottom, n, [-1] * n_inv)
+    spare = sum(1 << r * (n - k) - 1 for r in range(1, n))
     for _, d in reached:
-        if d & outside:
+        if d & spare:
             raise RuntimeError(f"a simple slide in a dream of {w} left the staircase")
         if d.bit_count() != n_inv:
             raise RuntimeError(f"a dream of {w} has {d.bit_count()} crossings, not {n_inv}")
-        if _replay(d, width, width) != w:
+        if _replay(d, list(range(k + 1, n + 1))) != w[k:]:
             raise RuntimeError(f"a simple slide in a dream of {w} broke reducedness")
-        dreams.add(frozenset(compress(cell_at, bin(d)[:1:-1].encode().translate(_BITS))))
+    dreams = _dreams((d for _, d in reached), n, k)
     if len(dreams) != len(reached):
         raise RuntimeError(f"two states of the order-0 walk of {w} share a dream")
-    return frozenset(dreams)
+    return dreams
 
 
 def weight(cells) -> Monomial:

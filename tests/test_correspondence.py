@@ -32,7 +32,6 @@ from forestry.permutations import (
 )
 from forestry.polynomials import Polynomial, monomial_of
 from forestry.pipedreams import (
-    _mask,
     all_pipe_dreams,
     bottom_pipe_dream,
     ladder_move,
@@ -210,14 +209,19 @@ def test_bad_pair_exists_iff_expansion_differs():
             assert (find_bad_pair(w) is None) == is_forest_by_expansion(w)
 
 
+def grid_mask(cells, width):
+    # the references' own layout: (r, c) is bit (r - 1) * width + c - 1
+    return sum(1 << (r - 1) * width + c - 1 for r, c in cells)
+
+
 def reference_slide(d, width, cell):
     # the order-0 ladder move at one cell of mask d: its target and the mask
     # after it, when (r, c+1), (r-1, c) and (r-1, c+1) are all empty
     r, c = cell
     target = (r - 1, c + 1)
-    if r == 1 or d & _mask([(r, c + 1), (r - 1, c), target], width):
+    if r == 1 or d & grid_mask([(r, c + 1), (r - 1, c), target], width):
         return None
-    return target, d ^ _mask([cell, target], width)
+    return target, d ^ grid_mask([cell, target], width)
 
 
 def reference_closure(w):
@@ -228,7 +232,7 @@ def reference_closure(w):
     while stack:
         cells = stack.pop()
         for cell in cells:
-            slid = reference_slide(_mask(cells, width), width, cell)
+            slid = reference_slide(grid_mask(cells, width), width, cell)
             if slid is not None:
                 moved = cells - {cell} | {slid[0]}
                 if moved not in seen:
@@ -239,15 +243,15 @@ def reference_closure(w):
 
 def test_reference_slide_is_the_order_zero_move():
     bottom = frozenset({(1, 1), (1, 2), (1, 3), (3, 1)})
-    d = _mask(bottom, 4)
+    d = grid_mask(bottom, 4)
     slid = bottom - {(3, 1)} | {(2, 2)}
-    assert reference_slide(d, 4, (3, 1)) == ((2, 2), _mask(slid, 4))
+    assert reference_slide(d, 4, (3, 1)) == ((2, 2), grid_mask(slid, 4))
     assert reference_slide(d, 4, (1, 3)) is None
     for n in range(1, 6):
         for w in all_permutations(n):
             assert simple_closure(w) == reference_closure(w), w
             for dream in all_pipe_dreams(w):
-                d = _mask(dream, n)
+                d = grid_mask(dream, n)
                 for cell in dream:
                     slid = reference_slide(d, n, cell)
                     moved = ladder_move(dream, cell, 0)
@@ -255,7 +259,7 @@ def test_reference_slide_is_the_order_zero_move():
                         assert moved is None, (dream, cell)
                     else:
                         assert moved == dream - {cell} | {slid[0]}, (dream, cell)
-                        assert slid[1] == _mask(moved, n)
+                        assert slid[1] == grid_mask(moved, n)
 
 
 def reference_bad_pair(w):
@@ -269,7 +273,7 @@ def reference_bad_pair(w):
     pairs = [(slot[p], slot[c]) for p, c in forest.covers]
     start = tuple(ids)
     prev = {start: None}
-    queue = deque([(start, _mask(start, width))])
+    queue = deque([(start, grid_mask(start, width))])
     while queue:
         state, occupied = queue.popleft()
         found = next(

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import pytest
@@ -55,6 +56,13 @@ def test_permutation_of_bottom_fixture():
 
 def test_permutation_of_rejects_non_reduced():
     assert permutation_of(frozenset({(1, 2), (2, 1)})) is None
+
+
+@pytest.mark.parametrize("cell", [(0, 1), (1, 0), (3, -1)])
+def test_permutation_of_rejects_a_cell_off_the_grid(cell):
+    # (3, -1) carries letter 1, so as a mask it would read as a crossing
+    with pytest.raises(ValueError, match=re.escape(f"{cell} is not a cell")):
+        permutation_of(frozenset({(1, 1), cell}))
 
 
 def test_bottom_pipe_dream_fixture():
@@ -125,6 +133,17 @@ def test_ladder_moves_preserve_reducedness_and_shift_diagonal(w):
                 assert diagonal(new_cell) == diagonal(cell) - k
 
 
+def grid_mask(cells, width):
+    # the references' own layout: (r, c) is bit (r - 1) * width + c - 1
+    return sum(1 << (r - 1) * width + c - 1 for r, c in cells)
+
+
+def frame(w):
+    # the trimmed length n and the leading fixed points k of w
+    w = trim(w)
+    return len(w), next((i for i, v in enumerate(w) if v != i + 1), 0)
+
+
 def reference_move(d, width, cell):
     """The one ladder move at crossing ``cell`` = (r, c) of mask ``d``, as
     (order, target), found by scanning up from the cell: a row with both
@@ -146,54 +165,59 @@ def reference_move(d, width, cell):
     return None
 
 
-def whole_mask_moves(cells, width):
+def whole_mask_moves(cells, width, k):
     # every move of the cell set, as cell -> (order, target), from
     # ladder_move at each order 0 .. width + 1; its order-0 moves must be
-    # exactly the crossings of the one mask of _slides
+    # exactly the crossings of the one mask of _slides, in the frame of
+    # stride width - k above k leading fixed points
     found = {}
     for cell in cells:
-        for k in range(width + 2):
-            moved = ladder_move(cells, cell, k)
+        for order in range(width + 2):
+            moved = ladder_move(cells, cell, order)
             if moved is not None:
                 assert cell not in found
                 (target,) = moved - cells
-                found[cell] = (k, target)
-    slides = [cell for cell, (k, _) in found.items() if k == 0]
-    d = pipedreams._mask(cells, width)
-    assert pipedreams._slides(d, width) == pipedreams._mask(slides, width)
+                found[cell] = (order, target)
+    slides = [cell for cell, (order, _) in found.items() if order == 0]
+    stride = width - k
+    d = pipedreams._mask(cells, stride, k)
+    assert pipedreams._slides(d, stride) == pipedreams._mask(slides, stride, k)
     return found
 
 
-def check_moves_match_the_scan(cells, width):
-    d = pipedreams._mask(cells, width)
+def check_moves_match_the_scan(cells, width, k):
+    d = grid_mask(cells, width)
     expected = {}
     for cell in cells:
         move = reference_move(d, width, cell)
         if move is not None:
             expected[cell] = move
-    assert whole_mask_moves(cells, width) == expected, sorted(cells)
+    assert whole_mask_moves(cells, width, k) == expected, sorted(cells)
 
 
 def test_whole_mask_moves_match_the_per_cell_scan():
-    # every crossing and every order 0 .. len(w) + 1 of every dream
-    for n in range(1, 7):
-        for w in all_permutations(n):
+    # every crossing and every order 0 .. len(w) + 1 of every dream, with
+    # _slides in the frame of w
+    for m in range(1, 7):
+        for w in all_permutations(m):
+            n, k = frame(w)
             for dream in all_pipe_dreams(w):
-                check_moves_match_the_scan(dream, n)
+                check_moves_match_the_scan(dream, n, k)
 
 
 @st.composite
 def staircase_masks(draw):
+    # any set of staircase cells whose letters r + c - 1 lie above k
     n = draw(st.integers(2, 8))
-    staircase = [(r, c) for r in range(1, n) for c in range(1, n - r + 1)]
-    return draw(st.sets(st.sampled_from(staircase))), n
+    k = draw(st.integers(0, n - 2))
+    staircase = [(r, c) for r in range(1, n) for c in range(1, n - r + 1) if r + c > k + 1]
+    return draw(st.sets(st.sampled_from(staircase))), n, k
 
 
 @settings(max_examples=300)
 @given(staircase_masks())
 def test_whole_mask_moves_match_the_scan_on_any_staircase_mask(case):
-    cells, n = case
-    check_moves_match_the_scan(cells, n)
+    check_moves_match_the_scan(*case)
 
 
 # --- enumeration ---------------------------------------------------------------
@@ -260,10 +284,10 @@ def test_closure_certifies_every_move(monkeypatch):
 @pytest.mark.parametrize(
     "extra,message",
     [
-        (lambda d, width: d, "share a dream"),
-        # a crossing moved to (1, W), past the staircase
-        (lambda d, width: d & d - 1 | 1 << width - 1, "left the staircase"),
-        (lambda d, width: d & d - 1, "2 crossings, not 3"),
+        (lambda d, stride: d, "share a dream"),
+        # a crossing moved to the spare slot of row 1, past the staircase
+        (lambda d, stride: d & d - 1 | 1 << stride - 1, "left the staircase"),
+        (lambda d, stride: d & d - 1, "2 crossings, not 3"),
     ],
     ids=["twice", "staircase", "count"],
 )
@@ -271,9 +295,10 @@ def test_closure_certifies_every_mask(monkeypatch, extra, message):
     # the walk reports one more state, whose mask is made from the last one
     walk = pipedreams._slide_walk
 
-    def one_more(code, width, parents):
-        prev, reached, stop = walk(code, width, parents)
-        return prev, [*reached, (-1, extra(reached[-1][1], width))], stop
+    def one_more(cells, n, parents):
+        prev, reached, stop = walk(cells, n, parents)
+        stride = n + 1 - cells[0][0]  # n - k: the first row is k + 1
+        return prev, [*reached, (-1, extra(reached[-1][1], stride))], stop
 
     monkeypatch.setattr(pipedreams, "_slide_walk", one_more)
     with pytest.raises(RuntimeError, match=message):
@@ -300,7 +325,7 @@ def ladder_closure(w):
     seen, stack = {start}, [start]
     while stack:
         cells = stack.pop()
-        d = pipedreams._mask(cells, width)
+        d = grid_mask(cells, width)
         for cell in cells:
             move = reference_move(d, width, cell)
             if move is not None:
@@ -330,13 +355,16 @@ def test_transfer_matches_the_ladder_move_closure_on_s7():
 
 def test_long_sparse_permutation_is_fast():
     # w = 1 2 ... 1198 1200 1199: one crossing on the diagonal r + c = 1200
-    # in each of rows 1..1199, so masks must not grow with the square of n
+    # in each of rows 1..1199, so masks must not grow with the square of n,
+    # neither in the transfer nor in the order-0 walk
     n = 1200
     w = tuple(range(1, n - 1)) + (n, n - 1)
     start = time.perf_counter()
     dreams = all_pipe_dreams(w)
     poly = schubert(w)
+    closed = simple_closure(w) == dreams
     assert time.perf_counter() - start < 1.0
+    assert closed
     assert dreams == {frozenset({(r, n - r)}) for r in range(1, n)}
     assert poly == sum((x(r) for r in range(1, n)), Polynomial.zero())
 

@@ -54,16 +54,21 @@ def test_pipedreams_are_the_same_under_optimize():
 
 
 def test_pipedreams_of_a_long_sparse_permutation():
-    # 1 2 ... 1198 1200 1199 has one dream per row; the text grid would
-    # print 1199 staircases of 1199 rows, so ask for JSON
+    # 1 2 ... 1198 1200 1199 has one dream per row, all reached by simple
+    # slides; the text grid would print 1199 staircases of 1199 rows, so ask
+    # for JSON
     n = 1200
     perm = ",".join(map(str, [*range(1, n - 1), n, n - 1]))
-    proc = cli("pipedreams", perm, "--json", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    out, err = proc.communicate(timeout=120)
-    assert proc.returncode == 0
-    assert err == b""
-    dreams = json.loads(out)
-    assert sorted(d["cells"] for d in dreams) == [[[r, n - r]] for r in range(1, n)]
+    for simple_only in [(), ("--simple-only",)]:
+        proc = cli(
+            "pipedreams", perm, *simple_only, "--json",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+        dreams = json.loads(out)
+        assert sorted(d["cells"] for d in dreams) == [[[r, n - r]] for r in range(1, n)]
 
 
 @pytest.mark.parametrize(

@@ -51,3 +51,17 @@ def test_every_private_module_name_is_used_in_the_package():
         and not any(name in used for j, used in enumerate(uses) if j != i)
     )
     assert unused == []
+
+
+def test_only_pipedreams_names_the_mask_frame():
+    # a dream mask's bit layout is known to one module: no other module of
+    # the package names the helpers that read or write it
+    frame = {"_mask", "_slides", "_replay"}
+    named = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+        defined = {n for stmt in tree.body for n in defined_names(stmt)}
+        named[path.name] = frame & (used_names(tree) | aliases | defined)
+    assert named.pop("pipedreams.py") == frame
+    assert {name: found for name, found in named.items() if found} == {}
