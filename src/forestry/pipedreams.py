@@ -370,19 +370,20 @@ def schubert(w: Permutation) -> Polynomial:
 
 
 def _descent_word(u: Permutation) -> tuple[int, ...]:
-    """Letters a_1..a_m with u = s_{a_1} ∘ ... ∘ s_{a_m}, built by
-    stripping the leftmost descent until the identity remains."""
+    """Letters a_1..a_m with u = s_{a_1} ∘ ... ∘ s_{a_m}, reduced: the
+    adjacent swaps of an insertion sort of u, each removing one inversion,
+    reversed."""
     line = list(u)
-    stripped = []
-    while True:
-        a = next(
-            (j + 1 for j in range(len(line) - 1) if line[j] > line[j + 1]),
-            None,
-        )
-        if a is None:
-            return tuple(reversed(stripped))
-        line[a - 1], line[a] = line[a], line[a - 1]
-        stripped.append(a)
+    swaps = []
+    for i in range(1, len(line)):
+        v = line[i]
+        j = i
+        while j and line[j - 1] > v:
+            line[j] = line[j - 1]
+            swaps.append(j)
+            j -= 1
+        line[j] = v
+    return tuple(reversed(swaps))
 
 
 def _schubert_divdiff_terms(w: Permutation, packing: _Packing) -> dict[int, int]:

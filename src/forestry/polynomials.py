@@ -13,7 +13,7 @@ Coefficients are arbitrary-precision ints; no zero coefficient is stored.
 
 Hot loops (the divided-difference sweep, labeling sums, pipe-dream weight
 sums) work on monomials packed into ints instead (``_Packing``) and decode
-once at the end.
+once at the end, through one interned table per field layout.
 """
 
 from __future__ import annotations
@@ -232,6 +232,14 @@ def _raw(terms: dict[Monomial, int]) -> Polynomial:
     return p
 
 
+# one table per field layout (nvars, bits): packed key -> trimmed exponent
+# tuple, so every decode of one monomial returns one tuple object.  A
+# layout's table is emptied before it would pass _INTERN_LIMIT entries; S_8
+# has at most 8! monomials under the staircase and never reaches it.
+_INTERNED: dict[tuple[int, int], dict[int, Monomial]] = {}
+_INTERN_LIMIT = 1 << 16
+
+
 class _Packing:
     """Monomials packed into ints, for sums too hot for exponent tuples.
 
@@ -244,7 +252,7 @@ class _Packing:
     largest total degree they reach.
     """
 
-    __slots__ = ("nvars", "bits", "mask", "units")
+    __slots__ = ("nvars", "bits", "mask", "units", "interned")
 
     def __init__(self, nvars: int, max_exponent: int):
         self.nvars = nvars
@@ -254,6 +262,7 @@ class _Packing:
         self.units = (0,) + tuple(
             1 << self.bits * (nvars - i) for i in range(1, nvars + 1)
         )
+        self.interned = _INTERNED.setdefault((nvars, self.bits), {})
 
     def pack(self, exps: Sequence[int]) -> int:
         """The key of the monomial with exponents ``exps``."""
@@ -270,12 +279,21 @@ class _Packing:
         """The polynomial of packed ``terms``, which hold no zero coefficient."""
         bits, mask = self.bits, self.mask
         top = bits * (self.nvars - 1)  # the shift of x_1's field
+        interned = self.interned
+        known = interned.get
         out: dict[Monomial, int] = {}
         for key, coeff in terms.items():
-            # the fields from x_1 down to the one with the lowest set bit:
-            # the trimmed exponent tuple, () for the key 0
-            stop = (key & -key).bit_length() - 1 - bits if key else top
-            out[tuple([key >> s & mask for s in range(top, stop, -bits)])] = coeff
+            exps = known(key)
+            if exps is None:
+                if len(interned) >= _INTERN_LIMIT:
+                    interned.clear()
+                # the fields from x_1 down to the one with the lowest set
+                # bit: the trimmed exponent tuple, () for the key 0
+                stop = (key & -key).bit_length() - 1 - bits if key else top
+                exps = interned[key] = tuple(
+                    [key >> s & mask for s in range(top, stop, -bits)]
+                )
+            out[exps] = coeff
         return _raw(out)
 
 

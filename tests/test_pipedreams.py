@@ -501,6 +501,32 @@ def test_divided_difference_oracle_small(w):
     assert schubert_divdiff(w) == schubert(w)
 
 
+def test_divided_difference_oracle_s6():
+    # criterion 6 stops at S_5; the oracle's packed sweep and the transfer
+    # agree on every permutation of S_6 too
+    for w in all_permutations(6):
+        assert schubert_divdiff(w) == schubert(w), w
+
+
+@pytest.mark.extended
+def test_divided_difference_oracle_s7():
+    for w in all_permutations(7):
+        assert schubert_divdiff(w) == schubert(w), w
+
+
+def test_descent_word_is_a_reduced_word_of_its_permutation():
+    # the oracle's word: as many letters as inversions, and swapping
+    # positions a, a + 1 of the identity for each letter a in turn gives u
+    for n in range(1, 7):
+        for u in all_permutations(n):
+            word = pipedreams._descent_word(u)
+            assert len(word) == inversions(u), u
+            line = list(range(1, n + 1))
+            for a in word:
+                line[a - 1], line[a] = line[a], line[a - 1]
+            assert tuple(line) == u, (u, word)
+
+
 # --- rendering -------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from forestry import polynomials
 from forestry.polynomials import _Packing, Polynomial
 
 x = Polynomial.variable
@@ -152,3 +153,51 @@ def test_packing_refuses_what_its_fields_cannot_hold():
         packing.pack((8,))
     with pytest.raises(RuntimeError):
         packing.pack((0, 0, 0, 1))
+
+
+def field_by_field(packing, key):
+    # x_1's field first, trailing zero fields dropped
+    exps = [
+        key >> packing.bits * (packing.nvars - i) & packing.mask
+        for i in range(1, packing.nvars + 1)
+    ]
+    while exps and not exps[-1]:
+        exps.pop()
+    return tuple(exps)
+
+
+def test_decode_interns_one_tuple_per_monomial_and_layout():
+    key = _Packing(3, 5).pack((2, 0, 1))
+    first = next(iter(_Packing(3, 5).decode({key: 1})._terms))
+    again = next(iter(_Packing(3, 5).decode({key: -4})._terms))
+    assert first is again
+    assert first == field_by_field(_Packing(3, 5), key) == (2, 0, 1)
+
+
+def test_decode_tables_are_per_field_layout():
+    # one int key, three layouts, three monomials: a table shared across
+    # nvars or across field widths would answer with another layout's tuple
+    key = 5
+    layouts = [_Packing(3, 5), _Packing(3, 1), _Packing(2, 5)]
+    for _ in range(2):
+        decoded = [packing.decode({key: 1}) for packing in layouts]
+        assert decoded == [
+            Polynomial.monomial(field_by_field(packing, key)) for packing in layouts
+        ]
+    assert [next(iter(p._terms)) for p in decoded] == [(0, 0, 5), (1, 0, 1), (0, 5)]
+
+
+def test_decode_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(polynomials, "_INTERN_LIMIT", 8)
+    packing = _Packing(4, 100)  # four fields of 7 bits
+    keys = [packing.pack((i % 5, i // 5, 0, 3)) for i in range(100)]
+    for key in keys:
+        assert packing.decode({key: 1}) == Polynomial.monomial(
+            field_by_field(packing, key)
+        )
+        assert len(packing.interned) <= 8
+    together = packing.decode(dict.fromkeys(keys, 2))
+    assert len(packing.interned) <= 8
+    assert together == Polynomial(
+        {field_by_field(packing, key): 2 for key in keys}
+    )

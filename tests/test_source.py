@@ -53,15 +53,30 @@ def test_every_private_module_name_is_used_in_the_package():
     assert unused == []
 
 
-def test_only_pipedreams_names_the_mask_frame():
-    # a dream mask's bit layout is known to one module: no other module of
-    # the package names the helpers that read or write it
-    frame = {"_mask", "_slides", "_replay"}
+def modules_naming(names):
+    # per module of the package, which of names it defines, reads or imports
     named = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         aliases = {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
         defined = {n for stmt in tree.body for n in defined_names(stmt)}
-        named[path.name] = frame & (used_names(tree) | aliases | defined)
+        named[path.name] = names & (used_names(tree) | aliases | defined)
+    return named
+
+
+def test_only_pipedreams_names_the_mask_frame():
+    # a dream mask's bit layout is known to one module: no other module of
+    # the package names the helpers that read or write it
+    frame = {"_mask", "_slides", "_replay"}
+    named = modules_naming(frame)
     assert named.pop("pipedreams.py") == frame
+    assert {name: found for name, found in named.items() if found} == {}
+
+
+def test_only_polynomials_names_the_intern_table():
+    # packed keys are decoded through one table per field layout, and only
+    # _Packing fills, bounds or reads it
+    table = {"_INTERNED", "_INTERN_LIMIT"}
+    named = modules_naming(table)
+    assert named.pop("polynomials.py") == table
     assert {name: found for name, found in named.items() if found} == {}
