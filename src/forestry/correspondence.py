@@ -242,8 +242,7 @@ def _sweep(prefix: Permutation, n: int, packing: _Packing):
     stack = [(top, lehmer_code(top), _schubert_divdiff_terms(top, packing))]
     while stack:
         u, code, terms = stack.pop()
-        lead = min(terms, default=None)
-        if lead != packing.pack(code) or terms[lead] != 1:
+        if not packing.leads_with(terms, code):
             raise RuntimeError(f"divided-difference sweep went wrong at {u}")
         yield u, trim_zeros(code), terms
         # with f the first ascent >= 3 of u (n if none), w = u s_i has

@@ -23,8 +23,10 @@ Permutation = tuple[int, ...]
 LehmerCode = tuple[int, ...]
 
 # Every memo in the package is an LRU cache of this many entries; a
-# 250-permutation working set (one query-mix topic) fits.  The pipe-dream
-# memo keeps a permutation's dreams and its Schubert polynomial in one entry.
+# 250-permutation working set (one query-mix topic) fits.  A pipe-dream
+# entry holds a permutation's row graph and, once asked for, its dreams or
+# its Schubert polynomial, each folded from the graph; with both, it lets
+# the graph go.
 _CACHE_SIZE = 256
 
 # Avoiding 1432 makes order-0 moves reach every pipe dream, which is when

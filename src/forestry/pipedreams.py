@@ -13,11 +13,15 @@ by ladder moves (Bergeron-Billey); ``simple_closure`` takes the closure
 under order-0 moves only, which reaches every dream exactly when w avoids
 the pattern 1432 (a property the test suite checks exhaustively through
 S_6).  ``all_pipe_dreams`` and ``schubert`` climb no ladders: ``_transfer``
-expands the nilCoxeter product row by row (Fomin-Stanley), ``_rows`` lists
-the letter sets the next row can add to the permutation read so far, and
-the rows that complete one such line are built once for every prefix that
-reaches it.  The test suite keeps the closure under ladder moves of every
-order as the reference for the transfer.
+expands the nilCoxeter product row by row (Fomin-Stanley) into a layered
+graph of lines, the permutations read so far, with ``_rows`` listing the
+letter sets the next row can add to a line.  One cache entry per
+permutation holds that graph, and the two functions are two folds over it,
+each run on first request: ``all_pipe_dreams`` collects the dream masks,
+``schubert`` sums packed weights and builds no dream.  Once both have run,
+the entry keeps their outputs and lets the graph go.  The test suite
+keeps the closure under ladder moves of every order as the reference for
+the transfer.
 
 ``ladder_move`` applies the Bergeron-Billey rule to one crossing of a
 cell set.  Inside this module a dream is also one int, a mask, in one
@@ -27,16 +31,14 @@ Slot S - 1 of each row is a spare that stays empty, so a shift by one bit
 never carries a cell into the next row.  ``_transfer`` builds masks row by
 row; ``simple_closure`` takes the whole of ``_slide_walk``, the one order-0
 walk, and the bad-pair search in ``correspondence`` stops it at the first
-crossing level with its cover parent.  ``ladder_move``, the walk's closure
-and the transfer certify what they return with explicit checks that raise
-RuntimeError.  One cache entry per permutation holds its dreams and its
-Schubert polynomial.
+crossing level with its cover parent.  ``ladder_move``, the walk's closure,
+the transfer and both of its folds certify what they return with explicit
+checks that raise RuntimeError.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from itertools import compress
 from typing import Optional
 
@@ -209,7 +211,9 @@ def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:
     A free letter, placed right to left, is kept only when w inverts the
     pair it swaps (``pos`` = positions in w): no reduced word of w
     continues past an inversion w lacks.  As every line then stays below w
-    in the weak order, that pair is also an ascent.
+    in the weak order, that pair is also an ascent.  Each letter is left
+    out before it is taken, so the empty row, when there is one, comes
+    first.
     """
     if s < 0:
         run, lo = 0, 0
@@ -235,30 +239,98 @@ def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _transfer(w: Permutation) -> tuple[frozenset, Polynomial]:
-    """Every reduced pipe dream of w (trimmed), with their weight sum.
+class _RowGraph:
+    """``_transfer``'s layered graph of one w, and its two folds.
+
+    ``layers[r - 1]`` holds, per line that dreams of w reach before row r,
+    its edges: (the row as a mask in the module's frame, its packed weight,
+    the index of the line after it in the next layer).  ``dreams`` folds
+    the masks and ``polynomial`` the weights, each from the last layer up
+    on first request, so a w asked only for its polynomial builds no dream;
+    once both have run, ``layers`` is None.  The dream fold raises
+    RuntimeError unless every dream has l(w) crossings and none appears
+    twice; the term fold, unless every term has degree l(w) and the least
+    is the Lehmer code with coefficient 1.
+    """
+
+    def __init__(self, w: Permutation, k: int, packing: _Packing, layers: list) -> None:
+        self.w, self.k, self.packing, self.layers = w, k, packing, layers
+        self.code = lehmer_code(w)
+
+    @functools.cached_property
+    def dreams(self) -> frozenset:
+        w = self.w
+        if not w:  # the one dream is empty, and _dreams decodes no empty mask
+            return frozenset({frozenset()})
+        masks = [[0]]
+        for layer in reversed(self.layers):
+            masks = [
+                [bits | d for bits, _, child in edges for d in masks[child]] for edges in layer
+            ]
+        (masks,) = masks
+        dreams = _dreams(masks, len(w), self.k)
+        n_inv = sum(self.code)
+        if len(dreams) != len(masks) or set(map(int.bit_count, masks)) != {n_inv}:
+            raise RuntimeError(f"the dreams of {w} are not {len(masks)} distinct reduced words")
+        self._folded("polynomial")
+        return dreams
+
+    @functools.cached_property
+    def polynomial(self) -> Polynomial:
+        terms = [{0: 1}]
+        for layer in reversed(self.layers):
+            up = []
+            for edges in layer:
+                bits, _, child = edges[0]
+                if bits:
+                    node = {}
+                elif len(edges) == 1:
+                    # a row that adds no letter lends its line the terms below
+                    up.append(terms[child])
+                    continue
+                else:
+                    node, edges = dict(terms[child]), edges[1:]
+                get = node.get
+                for _, step, child in edges:
+                    for key, c in terms[child].items():
+                        key += step
+                        node[key] = get(key, 0) + c
+                up.append(node)
+            terms = up
+        (terms,) = terms
+        w, code, poly = self.w, self.code, self.packing.decode(terms)
+        if set(map(sum, poly._terms)) != {sum(code)}:
+            raise RuntimeError(f"a term of the Schubert polynomial of {w} has the wrong degree")
+        if not self.packing.leads_with(terms, code):
+            raise RuntimeError(f"the leading term of the Schubert polynomial of {w} is wrong")
+        self._folded("dreams")
+        return poly
+
+    def _folded(self, other: str) -> None:
+        # the layers serve the two folds only
+        if other in self.__dict__:
+            self.layers = None
+
+
+def _transfer(w: Permutation) -> _RowGraph:
+    """The row graph of w (trimmed), whose paths are its reduced pipe dreams.
 
     The nilCoxeter product is expanded row by row: a line is the
     permutation read so far, and ``_rows`` gives the letter sets row r can
     add to it.  Lines are the nodes of a layered graph, one layer per row,
-    so the completions of rows r.. from one line are built once and shared
-    by every prefix that reaches it: per node, a list of dream masks and
-    the list of their packed weights, from the last layer up, with no
-    recursion.
-    Its masks are in the module's frame, with stride n - k, so a long w
-    with k leading fixed points keeps short masks.
+    so the completions of rows r.. from one line are shared by every prefix
+    that reaches it, and each fold of ``_RowGraph`` builds them once, with
+    no recursion.  Row masks are in the module's frame, with stride n - k,
+    so a long w with k leading fixed points keeps short masks.
 
-    The certificate raises RuntimeError: every letter is an ascent when it
-    is placed, every line after the last row is w, every dream has l(w)
-    crossings, no dream appears twice, and the lex-least weight is the
-    packed Lehmer code with coefficient 1.
+    Raises RuntimeError unless every letter is an ascent when it is placed,
+    every line after the last row is w, and the rows ``_rows`` gives for one
+    line are distinct: a layer adds one row, so distinct paths are then
+    distinct dreams, which the polynomial's fold has no masks to check.
     """
-    if not w:
-        return frozenset({frozenset()}), Polynomial.one()
     n = len(w)
-    k = next(i for i, v in enumerate(w) if v != i + 1)
+    k = next((i for i, v in enumerate(w) if v != i + 1), 0)
     stride = n - k
-    code = lehmer_code(w)
     # row r holds at most one crossing per letter, of n - 1 - k
     packing = _Packing(n, stride - 1)
     pos = (0, *inverse(w))  # pos[v]: the position of v in w
@@ -269,9 +341,12 @@ def _transfer(w: Permutation) -> tuple[frozenset, Polynomial]:
         children: dict = {}
         layer = []
         for line in frontier:
+            rows = _rows(line, r - k - 1, target, pos)
+            if len(set(rows)) != len(rows):
+                raise RuntimeError(f"rows {r} of dreams of {w} from {line} are not distinct")
             edges = []
-            for bits in _rows(line, r - k - 1, target, pos):
-                u = _replay(bits, list(line))
+            for bits in rows:
+                u = _replay(bits, list(line)) if bits else line
                 if u is None:
                     raise RuntimeError(f"a letter in row {r} of a dream of {w} is not an ascent")
                 child = children.setdefault(u, len(children))
@@ -281,49 +356,25 @@ def _transfer(w: Permutation) -> tuple[frozenset, Polynomial]:
         frontier = children
     if list(frontier) != [w[k:]]:
         raise RuntimeError(f"a dream of {w} does not end at w")
-    masks, weights = [[0]], [[0]]
-    for layer in reversed(layers):
-        masks_up, weights_up = [], []
-        for edges in layer:
-            node_masks, node_weights = [], []
-            for bits, step, child in edges:
-                if bits:
-                    node_masks += [bits | d for d in masks[child]]
-                    node_weights += [step + x for x in weights[child]]
-                else:
-                    node_masks += masks[child]
-                    node_weights += weights[child]
-            masks_up.append(node_masks)
-            weights_up.append(node_weights)
-        masks, weights = masks_up, weights_up
-    (masks,), (weights,) = masks, weights
-    dreams = _dreams(masks, n, k)
-    n_inv = sum(code)
-    if len(dreams) != len(masks) or any(d.bit_count() != n_inv for d in masks):
-        raise RuntimeError(f"the dreams of {w} are not {len(masks)} distinct reduced words")
-    terms = Counter(weights)
-    lead = min(terms)
-    if lead != packing.pack(code) or terms[lead] != 1:
-        raise RuntimeError(f"the leading term of the Schubert polynomial of {w} is wrong")
-    return dreams, packing.decode(terms)
+    return _RowGraph(w, k, packing, layers)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _transfer_cached(w: Permutation) -> tuple[frozenset, Polynomial]:
+def _transfer_cached(w: Permutation) -> _RowGraph:
     return _transfer(w)
 
 
 def all_pipe_dreams(w: Permutation) -> frozenset:
     """Every reduced pipe dream for w (the closure under ladder moves of
     every order)."""
-    return _transfer_cached(trim(w))[0]
+    return _transfer_cached(trim(w)).dreams
 
 
 def _dreams(masks, n: int, k: int) -> frozenset:
     """The nonzero ``masks`` of the frame (n, k) as a frozenset of cell sets.
     All crossings but the last come off the binary digits, and the last
-    joins by set union: that sizes each frozenset's table as the set algebra
-    of a closure does, half of what one pass over 5 to 8 cells allocates."""
+    joins by set union: a dream of 5 to 8 cells then gets a 472-byte table,
+    where one pass over all its cells allocates 728 bytes."""
     cell_at = [(r, i + k + 2 - r) for r in range(1, n) for i in range(n - k)]
     return frozenset(
         frozenset(compress(cell_at, bin(d)[:2:-1].encode().translate(_BITS)))
@@ -365,8 +416,9 @@ def weight(cells) -> Monomial:
 
 
 def schubert(w: Permutation) -> Polynomial:
-    """Schubert polynomial of w: the weight sum over all_pipe_dreams(w)."""
-    return _transfer_cached(trim(w))[1]
+    """Schubert polynomial of w: the weight sum over all_pipe_dreams(w),
+    folded without building the dreams."""
+    return _transfer_cached(trim(w)).polynomial
 
 
 def _descent_word(u: Permutation) -> tuple[int, ...]:

@@ -275,6 +275,12 @@ class _Packing:
             key = key << self.bits | e
         return key << self.bits * (self.nvars - len(exps))
 
+    def leads_with(self, terms: Mapping[int, int], exps: Sequence[int]) -> bool:
+        """Whether the leading term of packed ``terms`` is the monomial
+        ``exps`` with coefficient 1: its key is the least one."""
+        lead = min(terms, default=None)
+        return lead == self.pack(exps) and terms[lead] == 1
+
     def decode(self, terms: Mapping[int, int]) -> Polynomial:
         """The polynomial of packed ``terms``, which hold no zero coefficient."""
         bits, mask = self.bits, self.mask

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from forestry import cli, correspondence
 from forestry.cli import main
@@ -316,3 +320,41 @@ def test_unknown_command_exits_1(capsys):
 
 def test_no_command_exits_1(capsys):
     assert run(capsys)[0] == 1
+
+
+# --- fuzz ------------------------------------------------------------------------
+
+COMMANDS = ["schubert", "forest", "check", "pipedreams", "verify", "frobnicate"]
+FLAGS = ["--json", "--oracle", "--simple-only", "--perm", "--code", "--max-n", "--jobs", "-h"]
+# no integer above 4, so verify's n and --max-n stay small
+SMALL = ["-1", "0", "1", "2", "3", "4", "x", ""]
+# permutations and codes, valid and malformed; as a code, none is long
+WORDS = ["21", "132", "321", "1,4,3,2", "4,1,3,2", "2,4,1,3", "3,1,5,2,4",
+         "11", "41x2", "1,,2", "0,1", "3,0,1,0"]
+
+
+@st.composite
+def argv_lists(draw):
+    # a command, often with a positional value first, then any tokens
+    command = draw(st.sampled_from(COMMANDS))
+    values = SMALL + ([] if command == "verify" else WORDS)
+    head = draw(st.lists(st.sampled_from(values), max_size=1))
+    tail = draw(st.lists(st.sampled_from(FLAGS + values + COMMANDS), max_size=4))
+    return [command, *head, *tail]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv_lists())
+def test_fuzzed_command_lines_end_with_a_documented_exit_code(argv):
+    # any small command line exits 0, 1 or 2, never with a traceback; at
+    # most two usable CPUs, so verify starts at most two workers
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(correspondence, "_usable_cpus", lambda: 2), \
+            mock.patch.object(cli, "_usable_cpus", lambda: 2), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    event(f"{argv[0]} exits {code}")
+    assert code in (0, 1, 2), (argv, err.getvalue())

@@ -1,6 +1,7 @@
 import itertools
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -391,14 +392,70 @@ def test_transfer_certifies_the_final_line(monkeypatch):
 
 
 def test_transfer_certifies_distinct_dreams(monkeypatch):
+    # every row twice: each dream twice, caught in the forward pass that
+    # both folds share, so through either public function alone
     real = pipedreams._rows
 
     def twice(*args):
         return real(*args) * 2
 
     monkeypatch.setattr(pipedreams, "_rows", twice)
+    for public in (schubert, all_pipe_dreams):
+        pipedreams._transfer_cached.cache_clear()
+        with pytest.raises(RuntimeError, match="distinct"):
+            public((1, 3, 2))
+    pipedreams._transfer_cached.cache_clear()
+
+
+# The row graph of 132 (k = 1, stride 2): layer 0 holds the line 2 3 with
+# the rows {} and {1}, to the lines 2 3 and 3 2; layer 1 holds 2 3 with the
+# row {2}, at bit 2, and 3 2 with the empty row, both to the line 3 2.
+
+
+def tampered_132(change):
+    # the row graph of 132 with ``change`` applied to its layers, as lists
+    graph = pipedreams._transfer((1, 3, 2))
+    layers = [[list(edges) for edges in layer] for layer in graph.layers]
+    change(layers)
+    return pipedreams._RowGraph(graph.w, graph.k, graph.packing, layers)
+
+
+def test_dream_fold_certifies_distinct_dreams():
+    def two_paths_one_dream(layers):
+        layers[0][0].append(layers[0][0][-1])
+
     with pytest.raises(RuntimeError, match="distinct"):
-        pipedreams._transfer((1, 3, 2))
+        tampered_132(two_paths_one_dream).dreams
+
+
+def test_dream_fold_certifies_the_crossing_count():
+    def spare_slot(layers):
+        # the empty last row of 3 2 gains the spare slot of row 2, bit 3
+        layers[1][1] = [(1 << 3, 0, 0)]
+
+    with pytest.raises(RuntimeError, match="distinct reduced words"):
+        tampered_132(spare_slot).dreams
+
+
+def test_term_fold_certifies_the_degree():
+    x3 = pipedreams._transfer((1, 3, 2)).packing.units[3]
+
+    def heavier(layers):
+        # the dream {(2, 1)} weighs x2 x3 instead of x2; without the degree
+        # check the leading-term check would raise instead
+        bits, step, child = layers[1][0][0]
+        layers[1][0][0] = (bits, step + x3, child)
+
+    with pytest.raises(RuntimeError, match="degree"):
+        tampered_132(heavier).polynomial
+
+
+def test_entry_lets_its_layers_go_after_both_folds():
+    graph = pipedreams._transfer((1, 4, 3, 2))
+    assert graph.polynomial == schubert((1, 4, 3, 2))
+    assert graph.layers is not None
+    assert graph.dreams == all_pipe_dreams((1, 4, 3, 2))
+    assert graph.layers is None
 
 
 def test_transfer_certifies_the_leading_term(monkeypatch):
@@ -413,7 +470,24 @@ def test_transfer_certifies_the_leading_term(monkeypatch):
 
     monkeypatch.setattr(pipedreams, "_rows", full_first_row)
     with pytest.raises(RuntimeError, match="leading term"):
-        pipedreams._transfer((1, 3, 2))
+        pipedreams._transfer((1, 3, 2)).polynomial
+
+
+def test_schubert_builds_no_dream():
+    # 1 3 2 9 8 7 6 5 4 has 163 592 dreams but 17 319 terms: the polynomial
+    # comes from the row graph alone, well under the memory the dreams take
+    w = (1, 3, 2, 9, 8, 7, 6, 5, 4)
+    pipedreams._transfer_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        poly = schubert(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20
+    assert "dreams" not in vars(pipedreams._transfer_cached(w))
+    assert poly.term_count() == 17319
+    assert sum(c for _, c in poly.items()) == 163592
 
 
 # --- polynomials -----------------------------------------------------------------
