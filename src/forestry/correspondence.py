@@ -17,8 +17,10 @@ that identification:
 - ``verify_theorem`` checks, over all of S_n, that the pattern test and the
   polynomial-equality test give the same verdict.  In bulk it gets each
   Schubert polynomial from a neighbour by one divided difference instead of
-  a pipe-dream sum, both pattern verdicts from one table of the
-  avoiders of S_(n-1), and each forest from the one-pass code layout.
+  a pipe-dream sum, with x_1 and x_2, which no d_i of a unit moves, frozen
+  into one Kronecker int per x_3 .. x_n monomial; both pattern verdicts
+  from one table of the avoiders of S_(n-1); and each forest from the
+  one-pass code layout.
   With ``jobs`` > 1 it forks its worker processes itself: each child
   inherits n, the avoider table and the code, takes one unit at a time
   over a pipe and answers with one length-framed ``marshal`` record, so
@@ -224,25 +226,87 @@ def _packing(n: int) -> _Packing:
     return _Packing(n, n * (n - 1) // 2)
 
 
+def _digit_bits(n: int) -> int:
+    """D, the width of one digit of a frozen value over S_n, from a proven
+    bound.  A coefficient of a Schubert polynomial counts reduced pipe
+    dreams, subsets of the N = n(n-1)/2 staircase cells, so it is at most
+    2^N; every partial sum inside one d_i is bounded by the input's
+    coefficient sum, its number of reduced pipe dreams, at most 2^N too.  So
+    every signed digit is below 2^(D-1) in absolute value, and a value is 0
+    only when each digit is."""
+    return n * (n - 1) // 2 + 2
+
+
+def _freeze(terms: dict[int, int], packing: _Packing) -> Optional[dict[int, int]]:
+    """Packed ``terms`` (positive coefficients) with x_1 and x_2 frozen: the
+    key keeps the fields of x_3 .. x_n, and the value carries the
+    coefficient of x_1^a x_2^b in its D-bit digit a*n + b, D =
+    ``_digit_bits(n)``, so the order of the digits is the lex order of (a, b).
+    None when some a or b is n or more, for which no digit exists.  Raises
+    RuntimeError on a coefficient that no digit holds."""
+    n, bits = packing.nvars, packing.bits
+    width = _digit_bits(n)
+    low = bits * max(n - 2, 0)  # the fields of x_3 .. x_n; for n = 1, x_1 is b
+    rest = (1 << low) - 1
+    out: dict[int, int] = {}
+    for key, count in terms.items():
+        a, b = key >> low + bits, key >> low & packing.mask
+        if a >= n or b >= n:
+            return None
+        if not 0 < count < 1 << width - 1:
+            raise RuntimeError(f"coefficient {count} does not fit a digit of {width} bits")
+        out[key & rest] = out.get(key & rest, 0) + (count << width * (a * n + b))
+    return out
+
+
+def _same_polynomial(frozen: dict[int, int], counts: dict[int, int], packing: _Packing) -> bool:
+    """Whether ``frozen``, a ``_freeze`` form, and packed positive ``counts``
+    are one polynomial.  As 2^(Dj) = 1 mod 2^D - 1, the values of ``frozen``
+    sum to its value at x = 1 modulo 2^D - 1, so unequal sums prove unequal
+    polynomials; equality is concluded only by comparing the frozen forms."""
+    modulus = (1 << _digit_bits(packing.nvars)) - 1
+    if sum(frozen.values()) % modulus != sum(counts.values()) % modulus:
+        return False
+    return frozen == _freeze(counts, packing)
+
+
 def _sweep(prefix: Permutation, n: int, packing: _Packing):
-    """Yield (w, trimmed Lehmer code of w, Schubert polynomial of w as
-    ``packing``'s terms) for every w in S_n (untrimmed) that starts with
-    ``prefix``.
+    """Yield (w, trimmed Lehmer code of w, Schubert polynomial of w in the
+    ``_freeze`` form of ``packing``) for every w in S_n (untrimmed) that
+    starts with ``prefix``.
 
     The top of the unit, the prefix followed by the other values in
-    decreasing order, comes from ``schubert_divdiff``.  Every other w has a
-    first ascent i >= 3 and its polynomial is the divided difference d_i of
-    the polynomial of u = w s_i, which has one inversion more and the same
-    prefix; so a depth-first walk down from the top reaches each w once.
-    The code is carried down the walk: as u(i) > u(i+1), entries i and i+1
-    of the code of w are those of u, exchanged, the first one less.
+    decreasing order, comes from ``schubert_divdiff`` and is frozen once.
+    Every other w has a first ascent i >= 3 and its polynomial is the
+    divided difference d_i of the polynomial of u = w s_i, which has one
+    inversion more and the same prefix; so a depth-first walk down from the
+    top reaches each w once.  d_i with i >= 3 is linear over Z[x_1, x_2],
+    so it runs on the frozen form as on packed terms, adding values.  The
+    code is carried down the walk: as u(i) > u(i+1), entries i and i+1 of
+    the code of w are those of u, exchanged, the first one less.
+
+    Each w must lead with x^code and coefficient 1, or the sweep raises
+    RuntimeError.  c_1 and c_2 are fixed in the unit, so the leading digit
+    s_0 is; the key of x^code is carried down with the code.  The lead
+    key's value has digit s_0 equal to 1, no value has a set bit below
+    digit s_0, and no key below the lead key has a nonzero digit s_0.
     """
     rest = sorted(set(range(1, n + 1)) - set(prefix), reverse=True)
     top = tuple(prefix) + tuple(rest)
-    stack = [(top, lehmer_code(top), _schubert_divdiff_terms(top, packing))]
+    code = lehmer_code(top)
+    ((lead, one),) = _freeze({packing.pack(code): 1}, packing).items()
+    shift, below = one.bit_length() - 1, one - 1
+    digit = (1 << _digit_bits(n)) - 1
+    units = packing.units
+    # a top with no digit for some term fails the check as {} does
+    frozen = _freeze(_schubert_divdiff_terms(top, packing), packing) or {}
+    stack = [(top, code, lead, frozen)]
     while stack:
-        u, code, terms = stack.pop()
-        if not packing.leads_with(terms, code):
+        u, code, lead, terms = stack.pop()
+        if terms.get(lead, 0) >> shift & digit != 1 or any(
+            value & below or key < lead and value >> shift & digit
+            for key, value in terms.items()
+        ):
             raise RuntimeError(f"divided-difference sweep went wrong at {u}")
         yield u, trim_zeros(code), terms
         # with f the first ascent >= 3 of u (n if none), w = u s_i has
@@ -253,9 +317,11 @@ def _sweep(prefix: Permutation, n: int, packing: _Packing):
         if f + 1 < n and u[f - 1] > u[f + 1] < u[f]:
             children.append(f + 1)
         for i in children:
+            a, b = code[i - 1], code[i]
             w = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
-            c = code[: i - 1] + (code[i], code[i - 1] - 1) + code[i + 1 :]
-            stack.append((w, c, _divided_difference(terms, i, packing)))
+            c = code[: i - 1] + (b, a - 1) + code[i + 1 :]
+            key = lead + (b - a) * units[i] + (a - 1 - b) * units[i + 1]
+            stack.append((w, c, key, _divided_difference(terms, i, packing)))
 
 
 # bit 0 of a pattern verdict: w avoids the six patterns; bit 1: w avoids 1432
@@ -273,7 +339,7 @@ def _verify_unit(prefix: Permutation, n: int, table: dict[Permutation, int]) -> 
         steps, covers = _layout(code)
         avoids = avoidance_bits(u, _PATTERN_SETS, table)
         by_pattern = avoids & 1 == 1
-        by_expansion = terms == _labeling_sum(steps, packing)
+        by_expansion = _same_polynomial(terms, _labeling_sum(steps, packing), packing)
         out["total"] += 1
         out["pattern_positive"] += by_pattern
         out["expansion_positive"] += by_expansion

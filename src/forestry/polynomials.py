@@ -13,7 +13,9 @@ Coefficients are arbitrary-precision ints; no zero coefficient is stored.
 
 Hot loops (the divided-difference sweep, labeling sums, pipe-dream weight
 sums) work on monomials packed into ints instead (``_Packing``) and decode
-once at the end, through one interned table per field layout.
+once at the end, through one interned table per field layout.  The sweep of
+bulk ``verify`` never decodes: it also freezes x1 and x2 into its values
+(see ``correspondence``).
 """
 
 from __future__ import annotations

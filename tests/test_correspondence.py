@@ -6,7 +6,7 @@ import pkgutil
 from collections import Counter, deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import forestry
 from forestry import correspondence
@@ -344,12 +344,29 @@ def test_verdicts_on_the_subtle_case():
 # --- divided-difference sweep -------------------------------------------------
 
 
+def thaw(frozen, packing):
+    # the packed terms of a frozen polynomial, decoded here and not by the
+    # package: digit a*n + b of width n(n-1)/2 + 2 at key k is the
+    # coefficient of x1^a x2^b times k's monomial (for n = 1, b is x1's)
+    n = packing.nvars
+    width = n * (n - 1) // 2 + 2
+    unit_a, unit_b = ((0,) + packing.units[1:3])[-2:]
+    terms = {}
+    for key, value in frozen.items():
+        assert value >> width * n * n == 0, key
+        for a, b in itertools.product(range(n), repeat=2):
+            coeff = value >> width * (a * n + b) & (1 << width) - 1
+            if coeff:
+                terms[key + a * unit_a + b * unit_b] = coeff
+    return terms
+
+
 def check_sweep(n):
     packing = correspondence._packing(n)
     found = []
     for prefix in correspondence._units(n):
         for w, _, terms in correspondence._sweep(prefix, n, packing):
-            assert packing.decode(terms) == schubert(w), w
+            assert packing.decode(thaw(terms, packing)) == schubert(w), w
             found.append(w)
     assert sorted(found) == list(all_permutations(n))
 
@@ -406,6 +423,96 @@ def test_sweep_checks_leading_terms(monkeypatch):
     )
     with pytest.raises(RuntimeError):
         list(correspondence._sweep((1, 2), 4, correspondence._packing(4)))
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        1,  # digit 0, below the unit's leading digit 5
+        1 << 12 * 5,  # digit 5 at key 0, below the lead key
+    ],
+)
+def test_sweep_checks_every_term_against_the_lead(monkeypatch, planted):
+    # unit (2, 1) of S_5: digits are 12 bits wide and c_1 n + c_2 = 5; the
+    # first child checked, 2 1 5 3 4, leads with x1 x3^2, whose key is not
+    # 0.  Each planted value leaves the lead term alone and breaks one of
+    # the two other conditions
+    real = correspondence._divided_difference
+
+    def plant(terms, i, packing):
+        out = real(terms, i, packing)
+        out[0] = out.get(0, 0) + planted
+        return out
+
+    monkeypatch.setattr(correspondence, "_divided_difference", plant)
+    with pytest.raises(RuntimeError, match=r"went wrong at \(2, 1, 5, 3, 4\)"):
+        list(correspondence._sweep((2, 1), 5, correspondence._packing(5)))
+
+
+def test_too_narrow_digits_do_not_go_unnoticed(monkeypatch):
+    # with 2-bit digits, coefficients and partial sums overflow their digits
+    monkeypatch.setattr(correspondence, "_digit_bits", lambda n: 2)
+    try:
+        report = verify_theorem(6)
+    except RuntimeError:
+        return
+    assert report.disagreements != ()
+
+
+def test_frozen_comparison_has_no_digit_for_a_high_x1():
+    # x1^3 lies outside the digits of S_3; as a forest weight it makes the
+    # polynomials unequal, whatever the sums say
+    packing = correspondence._packing(3)
+    frozen = correspondence._freeze({packing.pack((2, 1)): 1}, packing)
+    assert not correspondence._same_polynomial(frozen, {packing.pack((3,)): 1}, packing)
+
+
+def test_frozen_comparison_refuses_a_count_no_digit_holds():
+    packing = correspondence._packing(3)
+    width = 3 * 2 // 2 + 2  # D = n(n-1)/2 + 2
+    huge = 1 << width - 1
+    with pytest.raises(RuntimeError, match="does not fit"):
+        correspondence._same_polynomial({0: huge}, {0: huge}, packing)
+
+
+@st.composite
+def packed_pairs(draw):
+    # a packed polynomial with x1, x2 exponents below n, as a Schubert
+    # polynomial has, and a second one: unrelated, equal, or the first with
+    # one unit of coefficient moved to another monomial, so the sums agree
+    n = draw(st.integers(1, 4))
+    packing = correspondence._packing(n)
+    width = n * (n - 1) // 2 + 2
+
+    def monomials(prefix_max):
+        fields = [st.integers(0, prefix_max)] * min(n, 2)
+        fields += [st.integers(0, packing.mask)] * (n - 2)
+        return st.tuples(*fields).map(packing.pack)
+
+    coeffs = st.integers(1, (1 << width - 1) - 1)
+    first = draw(st.dictionaries(monomials(n - 1), coeffs, min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["other", "same", "moved"]))
+    if kind == "other":
+        second = draw(st.dictionaries(monomials(packing.mask), coeffs, min_size=1, max_size=6))
+    else:
+        second = dict(first)
+    if kind == "moved":
+        source = draw(st.sampled_from(sorted(first)))
+        target = draw(monomials(packing.mask).filter(lambda key: key != source))
+        second[source] -= 1
+        if not second[source]:
+            del second[source]
+        second[target] = second.get(target, 0) + 1
+        assume(second[target] < 1 << width - 1)
+    return packing, first, second
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairs())
+def test_frozen_comparison_is_dict_equality(pair):
+    packing, first, second = pair
+    frozen = correspondence._freeze(first, packing)
+    assert correspondence._same_polynomial(frozen, second, packing) == (first == second)
 
 
 def check_labeling_sums(n):
