@@ -18,7 +18,6 @@ from typing import Optional
 
 from .correspondence import (
     WorkerDied,
-    _usable_cpus,
     find_bad_pair,
     is_forest_by_expansion,
     verify_theorem,
@@ -263,14 +262,13 @@ def _cmd_pipedreams(args) -> int:
 def _cmd_verify(args) -> int:
     if not 1 <= args.n <= args.max_n:
         raise ValueError(f"n must be between 1 and {args.max_n}")
-    jobs = args.jobs if args.jobs is not None else _usable_cpus()
-    if jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
 
     def progress(done: int, total: int) -> None:
         print(f"checked {done}/{total} permutations", file=sys.stderr, flush=True)
 
-    report = verify_theorem(args.n, jobs=jobs, progress=progress)
+    report = verify_theorem(args.n, jobs=args.jobs, progress=progress)
     trouble = report.disagreements or report.badpair_disagreements
     if args.json:
         print(json.dumps(report.to_json_obj()))

@@ -51,6 +51,7 @@ from .permutations import (
     FORBIDDEN_PATTERNS,
     PATTERN_1432,
     Permutation,
+    _code_cells,
     avoidance_bits,
     avoider_table,
     avoids_forbidden,
@@ -126,7 +127,7 @@ def replay_simple_moves(w: Permutation, moves) -> dict[Vertex, Cell]:
     placement.  An id may be a list [r, t], as ``check --json`` prints it.
     Raises ValueError when a slide is blocked or an id names no crossing."""
     w = trim(w)
-    ids = forest_from_code(lehmer_code(w)).vertices
+    ids = _code_cells(lehmer_code(w))
     pos: dict[Vertex, Cell] = {v: v for v in ids}
     frame, state, occupied = _start(ids, len(w))
     for moved in moves:
@@ -159,7 +160,7 @@ def _search_bad_pair(code, covers, n: int) -> Optional[BadPair]:
     parents = [-1] * sum(code)
     for parent, child in covers:
         parents[child] = parent
-    ids = [(row, t) for row, k in enumerate(code, start=1) for t in range(1, k + 1)]
+    ids = _code_cells(code)
     prev, _, stop = _slide_walk(ids, n, parents)
     if stop is None:
         return None
@@ -378,13 +379,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(jobs: int, units: int) -> int:
-    """Processes worth starting: no more than asked for, than there are
-    units to hand out, or than there are usable CPUs; one, so the run stays
-    serial, where the platform cannot fork."""
+def _worker_count(jobs: Optional[int], units: int) -> int:
+    """Processes worth starting: no more than asked for (None: one per
+    usable CPU), than there are units to hand out, or than there are usable
+    CPUs; one, so the run stays serial, where the platform cannot fork."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(jobs, units, _usable_cpus()))
+    return max(1, min(units if jobs is None else jobs, units, _usable_cpus()))
 
 
 class WorkerDied(RuntimeError):
@@ -501,15 +502,15 @@ def _fork_map(work: Callable, items: list, jobs: int, absorb: Callable) -> None:
 
 def verify_theorem(
     n: int,
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> VerifyReport:
     """Exhaustively compare the pattern test against the polynomial test on
     S_n, cross-checking bad-pair detection on the 1432-avoiding part.
 
-    Runs unit by unit, one unit per pair of first values, in lexicographic
-    order (optionally fanned out over up to ``jobs`` forked processes,
-    merged in order); ``progress(done, total)`` fires after each unit.
+    Runs one unit per pair of first values, in lexicographic order, over
+    up to ``jobs`` forked processes (None: one per usable CPU), merged in
+    order; ``progress(done, total)`` fires after each unit.
     Schubert polynomials come from the divided-difference sweep, and
     pattern verdicts from a table of the avoiders of S_(n-1) built once per
     run.  Raises ``WorkerDied`` when a worker process dies.

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from typing import Optional, Sequence
 
-from .permutations import _CACHE_SIZE, LehmerCode, trim_zeros
+from .permutations import _CACHE_SIZE, LehmerCode, _code_cells, trim_zeros
 from .polynomials import Polynomial, _Packing
 
 Vertex = tuple[int, int]  # (rho, ordinal), both 1-based
@@ -156,7 +156,7 @@ def _layout(code: LehmerCode) -> tuple[list, list]:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _forest_from_code_cached(code: LehmerCode) -> IndexedForest:
     steps, pairs = _layout(code)
-    vertices = tuple((row, t) for row, k in enumerate(code, 1) for t in range(1, k + 1))
+    vertices = _code_cells(code)
     covers = tuple(sorted((vertices[p], vertices[c]) for p, c in pairs))
     return IndexedForest(code=code, vertices=vertices, covers=covers, steps=tuple(steps))
 

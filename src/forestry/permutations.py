@@ -114,6 +114,12 @@ def trim_zeros(entries: Iterable[int]) -> tuple[int, ...]:
     return t[:n]
 
 
+def _code_cells(code: LehmerCode) -> tuple[tuple[int, int], ...]:
+    """Cells (i, t), 1 <= t <= code[i - 1], in ``forests._layout``'s slot
+    order: the bottom pipe dream's crossings and the forest's vertices."""
+    return tuple((i, t) for i, k in enumerate(code, 1) for t in range(1, k + 1))
+
+
 def perm_from_code(code: LehmerCode) -> Permutation:
     """Inverse of ``lehmer_code`` up to trailing zeros.
 

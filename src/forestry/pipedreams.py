@@ -42,7 +42,7 @@ import functools
 from itertools import compress
 from typing import Optional
 
-from .permutations import _CACHE_SIZE, Permutation, inverse, lehmer_code, trim
+from .permutations import _CACHE_SIZE, Permutation, _code_cells, inverse, lehmer_code, trim
 from .polynomials import (
     Monomial,
     Polynomial,
@@ -110,10 +110,7 @@ def permutation_of(cells) -> Optional[Permutation]:
 
 
 def bottom_pipe_dream(w: Permutation) -> PipeDream:
-    code = lehmer_code(trim(w))
-    return frozenset(
-        (i + 1, c + 1) for i, k in enumerate(code) for c in range(k)
-    )
+    return frozenset(_code_cells(lehmer_code(trim(w))))
 
 
 def _slides(d: int, stride: int) -> int:
@@ -391,10 +388,8 @@ def simple_closure(w: Permutation) -> frozenset:
     w = trim(w)
     if not w:
         return frozenset({frozenset()})
-    n = len(w)
-    k = next(i for i, v in enumerate(w) if v != i + 1)
-    bottom = sorted(bottom_pipe_dream(w))
-    n_inv = len(bottom)
+    bottom = _code_cells(lehmer_code(w))
+    n, k, n_inv = len(w), bottom[0][0] - 1, len(bottom)  # the first row is k + 1
     _, reached, _ = _slide_walk(bottom, n, [-1] * n_inv)
     spare = sum(1 << r * (n - k) - 1 for r in range(1, n))
     for _, d in reached:

@@ -350,7 +350,6 @@ def test_fuzzed_command_lines_end_with_a_documented_exit_code(argv):
     # most two usable CPUs, so verify starts at most two workers
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(correspondence, "_usable_cpus", lambda: 2), \
-            mock.patch.object(cli, "_usable_cpus", lambda: 2), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)

@@ -23,6 +23,7 @@ from forestry.forests import _labeling_sum, _layout, forest_from_code, valid_lab
 from forestry.permutations import (
     FORBIDDEN_PATTERNS,
     PATTERN_1432,
+    _code_cells,
     all_permutations,
     avoids_forbidden,
     contains_pattern,
@@ -186,6 +187,18 @@ def test_bad_pair_witness_replays(w):
     found = find_bad_pair(w)
     placement = replay_simple_moves(w, found.moves)
     assert placement[found.child][0] <= placement[found.parent][0]
+
+
+def test_code_cells_are_the_bottom_dream_and_the_forest():
+    # one list of a code's cells in slot order: the bottom dream's
+    # crossings, the forest's vertices and the start of every replay
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            code = lehmer_code(w)
+            cells = _code_cells(code)
+            assert cells == tuple(sorted(bottom_pipe_dream(w))), w
+            assert cells == forest_from_code(code).vertices, w
+            assert list(replay_simple_moves(w, ()).items()) == [(v, v) for v in cells], w
 
 
 def test_replay_rejects_blocked_moves():
@@ -558,9 +571,8 @@ def test_verify_counts_badpair_checks():
     assert verify_theorem(6).badpair_checked == 513
 
 
-def test_bulk_verify_fills_no_cache():
-    # the bulk run reads the code layout; it builds no IndexedForest and
-    # neither looks up nor fills any memo
+def package_caches():
+    # every memo of the package: the forest and the pipe-dream LRU caches
     caches = {
         id(value): value
         for info in pkgutil.iter_modules(forestry.__path__, "forestry.")
@@ -568,9 +580,27 @@ def test_bulk_verify_fills_no_cache():
         if hasattr(value, "cache_info")
     }
     assert len(caches) == 2
-    before = [cache.cache_info() for cache in caches.values()]
+    return list(caches.values())
+
+
+def test_bulk_verify_fills_no_cache():
+    # the bulk run reads the code layout; it builds no IndexedForest and
+    # neither looks up nor fills any memo
+    caches = package_caches()
+    before = [cache.cache_info() for cache in caches]
     verify_theorem(6)
-    assert [cache.cache_info() for cache in caches.values()] == before
+    assert [cache.cache_info() for cache in caches] == before
+
+
+@pytest.mark.parametrize("w", sorted(BAD_PAIR_FIXTURES))
+def test_order_0_walks_fill_no_cache(w):
+    # the bad-pair search, the replay of its witness and the simple-move
+    # closure start from the code's cells: no forest, no memo
+    caches = package_caches()
+    before = [cache.cache_info() for cache in caches]
+    replay_simple_moves(w, find_bad_pair(w).moves)
+    simple_closure(w)
+    assert [cache.cache_info() for cache in caches] == before
 
 
 REPORT_FIELDS = (
@@ -669,6 +699,9 @@ def test_worker_count_is_clamped(monkeypatch):
     monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 64)
     assert correspondence._worker_count(5000, 6) == 6
     assert correspondence._worker_count(10**9, 10**9) == 64
+    # None asks for every usable CPU
+    assert correspondence._worker_count(None, 6) == 6
+    assert correspondence._worker_count(None, 10**9) == 64
 
 
 def test_usable_cpus_reads_the_affinity_set(monkeypatch):
