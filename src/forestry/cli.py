@@ -260,6 +260,8 @@ def _cmd_pipedreams(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < 1:
+        raise ValueError("--max-n must be at least 1")
     if not 1 <= args.n <= args.max_n:
         raise ValueError(f"n must be between 1 and {args.max_n}")
     if args.jobs is not None and args.jobs < 1:

@@ -148,18 +148,18 @@ def find_bad_pair(w: Permutation) -> Optional[BadPair]:
     covering pair with row(child) <= row(parent)."""
     w = trim(w)
     code = trim_zeros(lehmer_code(w))
-    return _search_bad_pair(code, _layout(code)[1], len(w))
+    return _search_bad_pair(code, _layout(code), len(w))
 
 
-def _search_bad_pair(code, covers, n: int) -> Optional[BadPair]:
+def _search_bad_pair(code, steps, n: int) -> Optional[BadPair]:
     """``find_bad_pair`` for the permutation of the trimmed ``code``, whose
-    trimmed length is ``n``; ``covers`` are ``_layout(code)``'s.  The
+    trimmed length is ``n``; ``steps`` are ``_layout(code)``'s.  The
     walk never stops at its start, as cover children lie in later rows."""
-    if not covers:
-        return None
     parents = [-1] * sum(code)
-    for parent, child in covers:
-        parents[child] = parent
+    for s, parent, start, _ in steps:
+        parents[s] = -1 if start else parent  # a cover's parent, else -1
+    if max(parents, default=-1) < 0:
+        return None
     ids = _code_cells(code)
     prev, _, stop = _slide_walk(ids, n, parents)
     if stop is None:
@@ -337,7 +337,7 @@ def _verify_unit(prefix: Permutation, n: int, table: dict[Permutation, int]) -> 
     disagreements, badpair_disagreements = [], []
     for u, code, terms in _sweep(prefix, n, packing):
         w = trim(u)
-        steps, covers = _layout(code)
+        steps = _layout(code)
         avoids = avoidance_bits(u, _PATTERN_SETS, table)
         by_pattern = avoids & 1 == 1
         by_expansion = _same_polynomial(terms, _labeling_sum(steps, packing), packing)
@@ -355,7 +355,7 @@ def _verify_unit(prefix: Permutation, n: int, table: dict[Permutation, int]) -> 
         # every w that avoids 1432, which avoiding all six implies
         if avoids:
             out["badpair_checked"] += 1
-            bad = _search_bad_pair(code, covers, len(w)) is not None
+            bad = _search_bad_pair(code, steps, len(w)) is not None
             if bad == by_expansion:  # a bad pair must appear iff expansion fails
                 badpair_disagreements.append(
                     {

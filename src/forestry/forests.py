@@ -49,9 +49,9 @@ class IndexedForest:
 
     code: LehmerCode
     vertices: tuple[Vertex, ...]  # sorted (rho, ordinal)
-    covers: tuple[tuple[Vertex, Vertex], ...]  # (parent, right child), sorted
+    covers: tuple[tuple[Vertex, Vertex], ...]  # sorted (parent, right child), from steps
     # _layout(code)'s labeling steps, the one statement of the structure
-    # that roots(), the labeling rule and the polynomial read
+    # that covers, roots(), the labeling rule and the polynomial read
     steps: tuple[tuple[int, int, int, int], ...]
 
     def __init__(self, code, vertices, covers, steps) -> None:
@@ -103,16 +103,16 @@ class IndexedForest:
         return packing.decode(_labeling_sum(self.steps, packing))
 
 
-def _layout(code: LehmerCode) -> tuple[list, list]:
-    """The forest of ``code`` as labeling steps and cover pairs, from one
-    pass over the rows.  Vertex (row, t) has slot (vertices above its row)
-    + t - 1, its index in ``IndexedForest.vertices``.
+def _layout(code: LehmerCode) -> list[tuple[int, int, int, int]]:
+    """The forest of ``code`` as labeling steps, from one pass over the
+    rows.  Vertex (row, t) has slot (vertices above its row) + t - 1, its
+    index in ``IndexedForest.vertices``.
 
     A step is (slot, parent slot, start, rho), parents first: each row's
     top vertex, then its chain downward.  A vertex counts up from its
     parent's value + start: a left child (start -1) may repeat it, a right
-    child (start 0) may not; roots hang off the always-zero slot -1.  A
-    cover pair is (parent slot, slot of the top of a later row).
+    child (start 0) may not; roots hang off the always-zero slot -1.  The
+    covers are read off the steps: start 0 and a parent slot >= 0.
 
     Open chains wait on a stack as [k, next ordinal t, covered any, slot
     base]; used-up ones are popped at each row.  An empty row uses up
@@ -121,7 +121,6 @@ def _layout(code: LehmerCode) -> tuple[list, list]:
     and opens its own chain.
     """
     steps: list[tuple[int, int, int, int]] = []
-    covers: list[tuple[int, int]] = []
     stack: list[list] = []
     base = 0  # the slot of the next row's vertex 1
     for p, k in enumerate(code, start=1):
@@ -138,7 +137,6 @@ def _layout(code: LehmerCode) -> tuple[list, list]:
             parent = chain[3] + t - 1
             if parent >= base:
                 raise RuntimeError(f"cover of row {p} by slot {parent} is not a right-child edge")
-            covers.append((parent, top))
             chain[1] = t + 1
             chain[2] = True
             steps.append((top, parent, 0, p))
@@ -148,17 +146,15 @@ def _layout(code: LehmerCode) -> tuple[list, list]:
             steps.append((s, s + 1, -1, p))
         stack.append([k, 1, False, base])
         base += k
-    if len({child for _, child in covers}) != len(covers):
-        raise RuntimeError(f"a chain of the forest of {code} has two parents")
-    return steps, covers
+    return steps
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _forest_from_code_cached(code: LehmerCode) -> IndexedForest:
-    steps, pairs = _layout(code)
+    steps = _layout(code)
     vertices = _code_cells(code)
-    covers = tuple(sorted((vertices[p], vertices[c]) for p, c in pairs))
-    return IndexedForest(code=code, vertices=vertices, covers=covers, steps=tuple(steps))
+    covers = sorted((vertices[p], vertices[s]) for s, p, start, _ in steps if start == 0 <= p)
+    return IndexedForest(code, vertices, tuple(covers), tuple(steps))
 
 
 def forest_from_code(code: LehmerCode) -> IndexedForest:

@@ -1,0 +1,87 @@
+"""The one test-side copy of each shared helper: hypothesis generators, the
+grid layout of the references, the labeling weight, and the per-cell
+Bergeron-Billey ladder scan with the closure it generates.  Not a test
+module; test modules import from it."""
+
+from hypothesis import strategies as st
+
+from forestry.permutations import trim
+from forestry.pipedreams import bottom_pipe_dream
+from forestry.polynomials import Polynomial
+
+x = Polynomial.variable
+
+
+def perms(max_n):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
+    )
+
+
+def codes(max_len, max_entry):
+    return st.lists(
+        st.integers(0, max_entry), min_size=0, max_size=max_len
+    ).map(tuple)
+
+
+def small_polys(bound):
+    # at most four terms in x1..x3, exponents up to 3, coefficients in
+    # -bound..bound
+    exps = st.lists(st.integers(0, 3), min_size=0, max_size=3).map(tuple)
+    return st.dictionaries(exps, st.integers(-bound, bound), max_size=4).map(Polynomial)
+
+
+def grid_mask(cells, width):
+    # the references' own layout: (r, c) is bit (r - 1) * width + c - 1
+    return sum(1 << (r - 1) * width + c - 1 for r, c in cells)
+
+
+def label_weight(labeling):
+    # the exponent vector of prod_v x_f(v); its last entry is nonzero
+    exps = [0] * max(labeling, default=0)
+    for value in labeling:
+        exps[value - 1] += 1
+    return tuple(exps)
+
+
+def reference_move(d, width, cell):
+    """The one ladder move at crossing ``cell`` = (r, c) of mask ``d``, as
+    (order, target), found by scanning up from the cell: a row with both
+    (r', c), (r', c+1) full extends the ladder, the first row with both
+    empty receives the crossing (order r - r' - 1), and a mixed row blocks
+    every order.  Order 0 is the simple slide."""
+    r, c = cell
+    shift = (r - 1) * width + c - 1
+    if d >> (shift + 1) & 1:
+        return None
+    rr = r - 1
+    while rr >= 1:
+        shift -= width
+        pair = d >> shift & 3
+        if pair == 3:
+            rr -= 1
+            continue
+        return (r - rr - 1, (rr, c + 1)) if pair == 0 else None
+    return None
+
+
+def reference_closure(w, max_order=None):
+    """The dreams of w reachable from the bottom one by ladder moves
+    (Bergeron-Billey) of order at most ``max_order``, or of every order
+    when it is None, as cell sets: one ``reference_move`` per crossing on
+    masks of width len(w)."""
+    w = trim(w)
+    width = max(len(w), 1)
+    start = bottom_pipe_dream(w)
+    seen, stack = {start}, [start]
+    while stack:
+        cells = stack.pop()
+        d = grid_mask(cells, width)
+        for cell in cells:
+            move = reference_move(d, width, cell)
+            if move is not None and (max_order is None or move[0] <= max_order):
+                moved = cells - {cell} | {move[1]}
+                if moved not in seen:
+                    seen.add(moved)
+                    stack.append(moved)
+    return seen

@@ -9,6 +9,7 @@ import time
 from math import factorial
 
 import pytest
+from references import label_weight, x
 
 from forestry.correspondence import (
     covering_relation,
@@ -37,9 +38,6 @@ from forestry.pipedreams import (
     simple_closure,
     weight,
 )
-from forestry.polynomials import Polynomial
-
-x = Polynomial.variable
 
 acceptance = pytest.mark.acceptance
 
@@ -151,13 +149,6 @@ def test_simple_closure_iff_avoids_1432():
     assert time.monotonic() - start < 120.0
 
 
-def _label_weight(labeling) -> tuple[int, ...]:
-    exps = [0] * max(labeling, default=0)
-    for value in labeling:
-        exps[value - 1] += 1
-    return trim_zeros(exps)
-
-
 @acceptance(8, "labeling map is injective, weight-true, with the right image")
 def test_labeling_map_suite():
     start = time.monotonic()
@@ -167,7 +158,7 @@ def test_labeling_map_suite():
             image = set()
             for labeling in valid_labelings(forest):
                 dream = labeling_to_pipe_dream(w, labeling)
-                assert weight(dream) == _label_weight(labeling)
+                assert weight(dream) == label_weight(labeling)
                 image.add(dream)
             assert len(image) == len(valid_labelings(forest))
             assert image <= simple_closure(w)

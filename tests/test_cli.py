@@ -277,6 +277,9 @@ def test_verify_range_checks(capsys):
     assert input_error(capsys, "verify", "8") == out_of_range + "7"
     assert input_error(capsys, "verify", "4", "--max-n", "3") == out_of_range + "3"
     assert run(capsys, "verify", "4", "--max-n", "4")[0] == 0
+    assert input_error(capsys, "verify", "3", "--max-n", "0") == (
+        "forestry: error: --max-n must be at least 1"
+    )
     assert input_error(capsys, "verify", "2", "--jobs", "0") == (
         "forestry: error: --jobs must be at least 1"
     )

@@ -7,6 +7,7 @@ from collections import Counter, deque
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from references import grid_mask, label_weight, perms, reference_closure, reference_move
 
 import forestry
 from forestry import correspondence
@@ -40,19 +41,6 @@ from forestry.pipedreams import (
     simple_closure,
     weight,
 )
-
-
-def perms(max_n=5):
-    return st.integers(0, max_n).flatmap(
-        lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
-    )
-
-
-def label_weight(labeling):
-    exps = [0] * (max(labeling) if labeling else 0)
-    for value in labeling:
-        exps[value - 1] += 1
-    return tuple(exps)
 
 
 # --- covering relation -----------------------------------------------------
@@ -222,62 +210,34 @@ def test_bad_pair_exists_iff_expansion_differs():
             assert (find_bad_pair(w) is None) == is_forest_by_expansion(w)
 
 
-def grid_mask(cells, width):
-    # the references' own layout: (r, c) is bit (r - 1) * width + c - 1
-    return sum(1 << (r - 1) * width + c - 1 for r, c in cells)
-
-
-def reference_slide(d, width, cell):
-    # the order-0 ladder move at one cell of mask d: its target and the mask
-    # after it, when (r, c+1), (r-1, c) and (r-1, c+1) are all empty
-    r, c = cell
-    target = (r - 1, c + 1)
-    if r == 1 or d & grid_mask([(r, c + 1), (r - 1, c), target], width):
-        return None
-    return target, d ^ grid_mask([cell, target], width)
-
-
-def reference_closure(w):
-    # the order-0 closure on cell sets, one reference_slide per crossing
-    width = max(len(trim(w)), 1)
-    start = bottom_pipe_dream(w)
-    seen, stack = {start}, [start]
-    while stack:
-        cells = stack.pop()
-        for cell in cells:
-            slid = reference_slide(grid_mask(cells, width), width, cell)
-            if slid is not None:
-                moved = cells - {cell} | {slid[0]}
-                if moved not in seen:
-                    seen.add(moved)
-                    stack.append(moved)
-    return seen
-
-
 def test_reference_slide_is_the_order_zero_move():
+    # the order-0 case of reference_move is the simple slide, and its
+    # closure is simple_closure
     bottom = frozenset({(1, 1), (1, 2), (1, 3), (3, 1)})
     d = grid_mask(bottom, 4)
     slid = bottom - {(3, 1)} | {(2, 2)}
-    assert reference_slide(d, 4, (3, 1)) == ((2, 2), grid_mask(slid, 4))
-    assert reference_slide(d, 4, (1, 3)) is None
+    assert reference_move(d, 4, (3, 1)) == (0, (2, 2))
+    assert d ^ grid_mask([(3, 1), (2, 2)], 4) == grid_mask(slid, 4)
+    assert reference_move(d, 4, (1, 3)) is None
     for n in range(1, 6):
         for w in all_permutations(n):
-            assert simple_closure(w) == reference_closure(w), w
+            assert simple_closure(w) == reference_closure(w, 0), w
             for dream in all_pipe_dreams(w):
                 d = grid_mask(dream, n)
                 for cell in dream:
-                    slid = reference_slide(d, n, cell)
+                    move = reference_move(d, n, cell)
                     moved = ladder_move(dream, cell, 0)
-                    if slid is None:
+                    if move is None or move[0]:
                         assert moved is None, (dream, cell)
                     else:
-                        assert moved == dream - {cell} | {slid[0]}, (dream, cell)
-                        assert slid[1] == grid_mask(moved, n)
+                        assert moved == dream - {cell} | {move[1]}, (dream, cell)
+                        assert d ^ grid_mask([cell, move[1]], n) == grid_mask(moved, n)
 
 
 def reference_bad_pair(w):
-    # the search on tuples of (row, col) cells, one slide test per crossing
-    # and state, every queued state checked for every cover when dequeued
+    # the search on tuples of (row, col) cells, one order-0 reference_move
+    # per crossing and state, every queued state checked for every cover
+    # when dequeued
     w = trim(w)
     width = len(w)
     forest = forest_from_code(lehmer_code(w))
@@ -301,13 +261,13 @@ def reference_bad_pair(w):
             moves.reverse()
             return ids[found[0]], ids[found[1]], tuple(moves)
         for idx, cell in enumerate(state):
-            slid = reference_slide(occupied, width, cell)
-            if slid is not None:
-                target, moved = slid
+            move = reference_move(occupied, width, cell)
+            if move is not None and move[0] == 0:
+                target = move[1]
                 nxt = state[:idx] + (target,) + state[idx + 1 :]
                 if nxt not in prev:
                     prev[nxt] = (state, idx)
-                    queue.append((nxt, moved))
+                    queue.append((nxt, occupied ^ grid_mask([cell, target], width)))
     return None
 
 
@@ -534,7 +494,7 @@ def check_labeling_sums(n):
     for w in all_permutations(n):
         forest = forest_from_code(lehmer_code(w))
         expected = Polynomial(Counter(map(monomial_of, valid_labelings(forest))))
-        steps = _layout(forest.code)[0]
+        steps = _layout(forest.code)
         assert packing.decode(_labeling_sum(steps, packing)) == expected, w
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
+from references import codes, perms
 
 from forestry.permutations import (
     FORBIDDEN_PATTERNS,
@@ -24,18 +25,6 @@ from forestry.permutations import (
     trim,
     trim_zeros,
 )
-
-
-def perms(max_n=6):
-    return st.integers(0, max_n).flatmap(
-        lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
-    )
-
-
-def codes(max_len=6, max_entry=4):
-    return st.lists(
-        st.integers(0, max_entry), min_size=0, max_size=max_len
-    ).map(tuple)
 
 
 def standardize(word):
@@ -73,7 +62,7 @@ def test_inverse_fixture():
     assert inverse((4, 1, 5, 3, 2)) == (2, 5, 4, 1, 3)
 
 
-@given(perms())
+@given(perms(6))
 def test_inverse_is_an_involution(w):
     assert inverse(inverse(w)) == w
     assert all(w[inverse(w)[i] - 1] == i + 1 for i in range(len(w)))
@@ -111,19 +100,19 @@ def test_perm_from_code_rejects_negative():
         perm_from_code((1, -1))
 
 
-@given(perms())
+@given(perms(6))
 def test_code_round_trip_from_permutation(w):
     assert trim(perm_from_code(lehmer_code(w))) == trim(w)
 
 
-@given(codes())
+@given(codes(6, 4))
 def test_code_round_trip_from_code(code):
     assert lehmer_code(perm_from_code(code)) == tuple(
         trim_zeros(code)
     ) + (0,) * (len(perm_from_code(code)) - len(trim_zeros(code)))
 
 
-@given(codes())
+@given(codes(6, 4))
 def test_code_entries_fit_their_suffix(code):
     w = perm_from_code(code)
     c = lehmer_code(w)
@@ -307,7 +296,7 @@ def test_parse_permutation_rejects_junk():
             parse_permutation(bad)
 
 
-@given(perms())
+@given(perms(6))
 def test_format_parse_round_trip(w):
     if not w:
         assert format_permutation(w) == "1"

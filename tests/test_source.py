@@ -1,11 +1,12 @@
-"""Rules on the package source, checked on its syntax tree."""
+"""Rules on the package and test sources, checked on their syntax trees."""
 
 import ast
 from pathlib import Path
 
 import forestry
 
-SRC = Path(forestry.__file__).resolve().parent
+PACKAGE = Path(forestry.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def defined_names(stmt):
@@ -38,7 +39,7 @@ def test_every_private_module_name_is_used_in_the_package():
     # somewhere in the package outside its own definition
     statements = [
         stmt
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
         for stmt in ast.parse(path.read_text(), filename=str(path)).body
     ]
     uses = [used_names(stmt) for stmt in statements]
@@ -56,7 +57,7 @@ def test_every_private_module_name_is_used_in_the_package():
 def modules_naming(names):
     # per module of the package, which of names it defines, reads or imports
     named = {}
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         aliases = {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
         defined = {n for stmt in tree.body for n in defined_names(stmt)}
@@ -80,3 +81,15 @@ def test_only_polynomials_names_the_intern_table():
     named = modules_naming(table)
     assert named.pop("polynomials.py") == table
     assert {name: found for name, found in named.items() if found} == {}
+
+
+def test_no_test_helper_is_defined_twice():
+    # each shared test helper lives once, in tests/references.py: no
+    # module-level name but a test_* function is defined in two test modules
+    where: dict[str, set[str]] = {}
+    for path in sorted(TESTS.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for name in defined_names(stmt):
+                if not name.startswith("test_"):
+                    where.setdefault(name, set()).add(path.name)
+    assert {name: paths for name, paths in where.items() if len(paths) > 1} == {}
