@@ -264,8 +264,6 @@ def _cmd_verify(args) -> int:
         raise ValueError("--max-n must be at least 1")
     if not 1 <= args.n <= args.max_n:
         raise ValueError(f"n must be between 1 and {args.max_n}")
-    if args.jobs is not None and args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
 
     def progress(done: int, total: int) -> None:
         print(f"checked {done}/{total} permutations", file=sys.stderr, flush=True)

@@ -325,11 +325,12 @@ def _sweep(prefix: Permutation, n: int, packing: _Packing):
             stack.append((w, c, key, _divided_difference(terms, i, packing)))
 
 
-# bit 0 of a pattern verdict: w avoids the six patterns; bit 1: w avoids 1432
-_PATTERN_SETS = (FORBIDDEN_PATTERNS, (PATTERN_1432,))
+# bit 0 of a pattern verdict: w avoids the six patterns; bit 1: w avoids
+# 1432; in byte form, as avoidance_bits looks them up
+_PATTERN_SETS = (tuple(map(bytes, FORBIDDEN_PATTERNS)), (bytes(PATTERN_1432),))
 
 
-def _verify_unit(prefix: Permutation, n: int, table: dict[Permutation, int]) -> dict:
+def _verify_unit(prefix: Permutation, n: int, table: dict[bytes, int]) -> dict:
     """Counts and disagreements over the permutations starting with
     ``prefix``; ``table`` is ``avoider_table(_PATTERN_SETS, n - 1)``."""
     packing = _packing(n)
@@ -513,10 +514,13 @@ def verify_theorem(
     order; ``progress(done, total)`` fires after each unit.
     Schubert polynomials come from the divided-difference sweep, and
     pattern verdicts from a table of the avoiders of S_(n-1) built once per
-    run.  Raises ``WorkerDied`` when a worker process dies.
+    run.  Raises ``ValueError`` for n or ``jobs`` below 1, and
+    ``WorkerDied`` when a worker process dies.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if jobs is not None and jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     started = time.monotonic()
     total = math.factorial(n)
     table = avoider_table(_PATTERN_SETS, n - 1)

@@ -201,36 +201,74 @@ def insert(w: Permutation, i: int, k: int) -> Permutation:
     return tuple(bumped[: i - 1] + [k] + bumped[i - 1 :])
 
 
-def avoidance_bits(w: Permutation, pattern_sets, smaller: Mapping) -> int:
+# Pattern verdicts work on byte forms, bytes(w).  _LOWERING[v] lowers every
+# byte above v by one, _RAISING[v] raises every byte from v up by one, and
+# _ONE_BYTE[v] is bytes((v,)).  They fill in up to the largest size asked
+# for, nothing at import; keyed by value, a concurrent double fill stores
+# the same map twice, where appending to lists would shift the indices.
+_BYTE_LIMIT = 255
+_LOWERING: dict[int, bytes] = {}
+_RAISING: dict[int, bytes] = {}
+_ONE_BYTE: dict[int, bytes] = {}
+
+
+def _byte_maps(n: int) -> None:
+    """Fill the byte maps for every value 0..n."""
+    if n > _BYTE_LIMIT:
+        raise ValueError(
+            f"a permutation of more than {_BYTE_LIMIT} values has no byte form"
+        )
+    for v in range(len(_ONE_BYTE), n + 1):
+        low, high = bytes(range(v, 255)), bytes(range(v + 1, 256))
+        _LOWERING[v] = bytes.maketrans(high, low)
+        _RAISING[v] = bytes.maketrans(low, high)
+        _ONE_BYTE[v] = bytes((v,))
+
+
+def avoidance_bits(w, pattern_sets, smaller: Mapping[bytes, int]) -> int:
     """Bit j is set when w avoids every pattern of ``pattern_sets[j]``,
     given ``smaller``, which maps each permutation of size len(w) - 1 to
     the same bits (a missing one has none).  An occurrence of a shorter
     pattern survives some one-point deletion, so w avoids a set exactly
     when it is none of its patterns and each of its deletions avoids it.
     One pass over the standardized deletions serves every set; it stops
-    once no bit is left."""
+    once no bit is left.
+
+    The check runs on byte forms: w, a tuple or bytes, is looked up as
+    bytes(w); the patterns and the keys of ``smaller`` are bytes; and the
+    deletion of the value v is one ``bytes.translate`` of w that drops the
+    byte v and lowers the bytes above it.  More than 255 values raise
+    ``ValueError``."""
+    if len(w) >= len(_ONE_BYTE):
+        _byte_maps(len(w))
+    lowering, one_byte = _LOWERING, _ONE_BYTE
+    w = bytes(w)
     bits = 0
     for j, patterns in enumerate(pattern_sets):
         if w not in patterns:
             bits |= 1 << j
-    for j, v in enumerate(w):
-        bits &= smaller.get(tuple(u - (u > v) for u in w[:j] + w[j + 1 :]), 0)
+    for v in w:
+        bits &= smaller.get(w.translate(lowering[v], one_byte[v]), 0)
         if not bits:
             break
     return bits
 
 
-def avoider_table(pattern_sets, n: int) -> dict[Permutation, int]:
+def avoider_table(pattern_sets, n: int) -> dict[bytes, int]:
     """The permutations of S_n (untrimmed) that avoid every pattern of at
-    least one of ``pattern_sets``, with their ``avoidance_bits``.  Built up
-    from S_0: the candidates of size k are the entries of size k - 1 with
-    one more last value."""
-    level = {(): avoidance_bits((), pattern_sets, {})}
+    least one of ``pattern_sets``, with their ``avoidance_bits``, keyed by
+    byte form like the patterns.  Built up from S_0: the candidates of size
+    k are the entries v of size k - 1 with one more last value, each one
+    ``bytes.translate`` that raises the values from ``last`` up, then
+    ``last`` appended.  n above 255 raises ``ValueError``."""
+    _byte_maps(n)
+    level = {b"": avoidance_bits(b"", pattern_sets, {})}
     for k in range(1, n + 1):
+        grow = [(_RAISING[last], _ONE_BYTE[last]) for last in range(1, k + 1)]
         level = {
             w: bits
             for v in level
-            for w in (insert(v, k, last) for last in range(1, k + 1))
+            for w in (v.translate(up) + last for up, last in grow)
             if (bits := avoidance_bits(w, pattern_sets, level))
         }
     return level

@@ -1,6 +1,6 @@
 """The one test-side copy of each shared helper: hypothesis generators, the
-grid layout of the references, the labeling weight, and the per-cell
-Bergeron-Billey ladder scan with the closure it generates.  Not a test
+grid layout of the references, the labeling weight, the one-point deletion,
+and the per-cell Bergeron-Billey ladder scan with the closure it generates.  Not a test
 module; test modules import from it."""
 
 from hypothesis import strategies as st
@@ -42,6 +42,12 @@ def label_weight(labeling):
     for value in labeling:
         exps[value - 1] += 1
     return tuple(exps)
+
+
+def reference_deletion(w, j):
+    # w without its entry at 0-based index j, standardized to 1..n-1
+    v = w[j]
+    return tuple(u - (u > v) for u in w[:j] + w[j + 1 :])
 
 
 def reference_move(d, width, cell):

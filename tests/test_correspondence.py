@@ -523,6 +523,12 @@ def test_verify_small_n():
         assert report.elapsed_ms >= 0
 
 
+def test_verify_rejects_jobs_below_1():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="--jobs must be at least 1"):
+            verify_theorem(3, jobs=jobs)
+
+
 def test_verify_counts_badpair_checks():
     report = verify_theorem(4)
     # every permutation except 1432 itself is eligible for the cross-check

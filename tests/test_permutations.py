@@ -1,10 +1,13 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
-from references import codes, perms
+from references import codes, perms, reference_deletion
 
+from forestry import permutations
 from forestry.permutations import (
     FORBIDDEN_PATTERNS,
     PATTERN_1432,
@@ -208,7 +211,7 @@ def test_avoids_forbidden_fixtures():
     assert not avoids_forbidden((3, 2, 1, 4, 6, 5))
 
 
-SETS = (FORBIDDEN_PATTERNS, (PATTERN_1432,))
+SETS = (tuple(map(bytes, FORBIDDEN_PATTERNS)), (bytes(PATTERN_1432),))
 
 
 def test_avoider_sets_match_the_pattern_search():
@@ -217,13 +220,13 @@ def test_avoider_sets_match_the_pattern_search():
     for n in range(1, 8):
         table = avoider_table(SETS, n)
         for w in all_permutations(n):
-            bits = table.get(w, 0)
+            bits = table.get(bytes(w), 0)
             assert bits & 1 == avoids_forbidden(w), w
             assert bits >> 1 == (not contains_pattern(w, PATTERN_1432)), w
 
 
 def test_avoids_by_deletions_fixtures():
-    assert avoider_table(SETS, 0) == {(): 0b11}
+    assert avoider_table(SETS, 0) == {b"": 0b11}
     size3, size4 = avoider_table(SETS, 3), avoider_table(SETS, 4)
     assert avoidance_bits((4, 1, 3, 2), SETS, size3) == 0b11
     # 2413 is one of the six, though each of its deletions is clean; it
@@ -235,6 +238,90 @@ def test_avoids_by_deletions_fixtures():
     assert avoidance_bits((2, 4, 5, 1, 3), SETS, size4) == 0b10
     # a missing deletion counts as avoiding nothing
     assert avoidance_bits((2, 1), SETS, {}) == 0
+
+
+class Lookups:
+    # a table that holds every key with bit 0 and records what is looked up
+    def __init__(self):
+        self.keys_asked = []
+
+    def get(self, key, default):
+        self.keys_asked.append(key)
+        return 1
+
+
+def test_byte_deletions_match_the_reference():
+    # with no pattern and every deletion avoiding, avoidance_bits looks up
+    # the one-point deletion at each index of w, in index order
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            table = Lookups()
+            assert avoidance_bits(w, ((),), table) == 1
+            assert table.keys_asked == [bytes(reference_deletion(w, j)) for j in range(n)]
+
+
+def test_avoider_candidates_are_insertions(monkeypatch):
+    # with no pattern every candidate is kept, so the candidates of size k
+    # are insert(v, k, last) for each entry v of size k - 1, in that order
+    asked = []
+
+    def recording(w, pattern_sets, smaller):
+        asked.append(w)
+        return avoidance_bits(w, pattern_sets, smaller)
+
+    monkeypatch.setattr(permutations, "avoidance_bits", recording)
+    table = avoider_table(((),), 6)
+    expected, level = [b""], [()]
+    for k in range(1, 7):
+        level = [insert(v, k, last) for v in level for last in range(1, k + 1)]
+        expected += map(bytes, level)
+    assert asked == expected
+    assert table == dict.fromkeys(map(bytes, all_permutations(6)), 1)
+
+
+def test_byte_maps_shift_every_value():
+    permutations._byte_maps(255)
+    for v in range(256):
+        assert list(permutations._LOWERING[v]) == [u - (u > v) for u in range(256)], v
+        assert list(permutations._RAISING[v]) == [u + (v <= u < 255) for u in range(256)], v
+        assert permutations._ONE_BYTE[v] == bytes((v,))
+
+
+def test_byte_maps_fill_safely_from_threads(monkeypatch):
+    # threads that start together on empty maps, each filling them to its
+    # own size, still delete every value right
+    words = [tuple(range(n, 0, -1)) for n in range(20, 60, 5)]
+    expected = [[bytes(reference_deletion(w, j)) for j in range(len(w))] for w in words]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            for name in ("_LOWERING", "_RAISING", "_ONE_BYTE"):
+                monkeypatch.setattr(permutations, name, {})
+            start, tables = threading.Barrier(len(words)), [Lookups() for _ in words]
+
+            def run(w, table):
+                start.wait()
+                avoidance_bits(w, ((),), table)
+
+            threads = [threading.Thread(target=run, args=pair) for pair in zip(words, tables)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [table.keys_asked for table in tables] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_more_than_255_values_have_no_byte_form():
+    for call in (
+        lambda: avoidance_bits(tuple(range(1, 257)), SETS, {}),
+        lambda: avoider_table(SETS, 256),
+    ):
+        with pytest.raises(ValueError, match="more than 255 values"):
+            call()
 
 
 # --- insertion ---------------------------------------------------------------

@@ -83,6 +83,15 @@ def test_only_polynomials_names_the_intern_table():
     assert {name: found for name, found in named.items() if found} == {}
 
 
+def test_only_permutations_names_the_byte_maps():
+    # one-point deletions and value insertions on byte forms go through
+    # per-value lowering and raising maps, built and read in one module
+    maps = {"_LOWERING", "_RAISING", "_ONE_BYTE", "_byte_maps"}
+    named = modules_naming(maps)
+    assert named.pop("permutations.py") == maps
+    assert {name: found for name, found in named.items() if found} == {}
+
+
 def test_no_test_helper_is_defined_twice():
     # each shared test helper lives once, in tests/references.py: no
     # module-level name but a test_* function is defined in two test modules
