@@ -24,15 +24,11 @@ from .permutations import (
     lehmer_code,
     parse_permutation,
     pattern_witness,
-    perm_from_code,
     trim,
 )
 from .polynomials import Monomial, Polynomial
 from .pipedreams import (
     all_pipe_dreams,
-    bottom_pipe_dream,
-    ladder_move,
-    permutation_of,
     schubert,
     schubert_divdiff,
     simple_closure,
@@ -51,7 +47,6 @@ from .correspondence import (
     covering_relation,
     find_bad_pair,
     is_forest_by_expansion,
-    is_forest_by_pattern,
     labeling_to_pipe_dream,
     verify_theorem,
 )
@@ -74,11 +69,7 @@ __all__ = [
     "inverse",
     "trim",
     "lehmer_code",
-    "perm_from_code",
     "parse_permutation",
-    "bottom_pipe_dream",
-    "permutation_of",
-    "ladder_move",
     "all_pipe_dreams",
     "simple_closure",
     "weight",
@@ -91,7 +82,6 @@ __all__ = [
     "covering_relation",
     "labeling_to_pipe_dream",
     "find_bad_pair",
-    "is_forest_by_pattern",
     "is_forest_by_expansion",
     "verify_theorem",
 ]

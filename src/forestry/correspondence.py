@@ -54,7 +54,6 @@ from .permutations import (
     _code_cells,
     avoidance_bits,
     avoider_table,
-    avoids_forbidden,
     lehmer_code,
     trim,
     trim_zeros,
@@ -76,7 +75,6 @@ __all__ = [
     "labeling_to_pipe_dream",
     "replay_simple_moves",
     "find_bad_pair",
-    "is_forest_by_pattern",
     "is_forest_by_expansion",
     "VerifyReport",
     "WorkerDied",
@@ -85,8 +83,8 @@ __all__ = [
 
 
 def covering_relation(w: Permutation) -> frozenset:
-    """Pairs (parent id, child id) of crossings of bottom_pipe_dream(w);
-    under the identification above, exactly the forest's right-child edges."""
+    """Pairs (parent id, child id) of the bottom dream's crossings: under
+    the identification above, exactly the forest's right-child edges."""
     return frozenset(forest_from_code(lehmer_code(trim(w))).covers)
 
 
@@ -170,11 +168,6 @@ def _search_bad_pair(code, steps, n: int) -> Optional[BadPair]:
         stop, idx = prev[stop]
         moves.append(ids[idx])
     return BadPair(parent=ids[parents[child]], child=ids[child], moves=tuple(moves[::-1]))
-
-
-def is_forest_by_pattern(w: Permutation) -> bool:
-    """Does w avoid all six forbidden patterns?"""
-    return avoids_forbidden(trim(w))
 
 
 def is_forest_by_expansion(w: Permutation) -> bool:

@@ -6,8 +6,6 @@ points carry no meaning: ``(4, 1, 3, 2, 5)`` denotes the same value, and
 
 >>> lehmer_code((1, 5, 3, 4, 2))
 (0, 3, 1, 1, 0)
->>> perm_from_code((3, 0, 1, 0))
-(4, 1, 3, 2)
 >>> pattern_witness((2, 4, 5, 1, 3), (2, 4, 1, 3))
 (1, 2, 4, 5)
 """
@@ -54,7 +52,6 @@ __all__ = [
     "inversions",
     "lehmer_code",
     "trim_zeros",
-    "perm_from_code",
     "contains_pattern",
     "pattern_witness",
     "avoids_forbidden",
@@ -118,25 +115,6 @@ def _code_cells(code: LehmerCode) -> tuple[tuple[int, int], ...]:
     """Cells (i, t), 1 <= t <= code[i - 1], in ``forests._layout``'s slot
     order: the bottom pipe dream's crossings and the forest's vertices."""
     return tuple((i, t) for i, k in enumerate(code, 1) for t in range(1, k + 1))
-
-
-def perm_from_code(code: LehmerCode) -> Permutation:
-    """Inverse of ``lehmer_code`` up to trailing zeros.
-
-    Any nonnegative vector is accepted; the result size n is the least one
-    with code[i] <= n - i - 1 for all i.
-    """
-    if any(c < 0 for c in code):
-        raise ValueError("code entries must be nonnegative")
-    n = max(
-        [len(code)] + [i + 1 + c for i, c in enumerate(code)]
-    ) if code else 0
-    unused = list(range(1, n + 1))
-    out = []
-    for i in range(n):
-        c = code[i] if i < len(code) else 0
-        out.append(unused.pop(c))
-    return tuple(out)
 
 
 def pattern_witness(w: Permutation, p: Permutation) -> Optional[tuple[int, ...]]:

@@ -1,11 +1,10 @@
-"""Reduced pipe dreams, ladder moves, and Schubert polynomials.
+"""Reduced pipe dreams and Schubert polynomials.
 
 A pipe dream is a frozenset of cells (row, col), both 1-based.  The cell
 (r, c) carries the transposition s_{r+c-1}; reading cells row by row top to
 bottom, right to left within a row, and applying each s_a as a right
 multiplication (swap one-line positions a, a+1) must produce the target
-permutation through ascents only — that is what "reduced" means here, and
-``permutation_of`` returns None otherwise.
+permutation through ascents only — that is what "reduced" means here.
 
 The bottom pipe dream of w left-justifies lehmer_code(w): row i holds its
 first code(i) cells.  Every other reduced pipe dream for w arises from it
@@ -23,17 +22,16 @@ the entry keeps their outputs and lets the graph go.  The test suite
 keeps the closure under ladder moves of every order as the reference for
 the transfer.
 
-``ladder_move`` applies the Bergeron-Billey rule to one crossing of a
-cell set.  Inside this module a dream is also one int, a mask, in one
-frame: for w of trimmed length n with k leading fixed points, cell (r, c)
-carries letter a = r + c - 1 and is bit (r - 1) * S + a - k - 1, S = n - k.
+Inside this module a dream is also one int, a mask, in one frame: for w
+of trimmed length n with k leading fixed points, cell (r, c) carries
+letter a = r + c - 1 and is bit (r - 1) * S + a - k - 1, S = n - k.
 Slot S - 1 of each row is a spare that stays empty, so a shift by one bit
 never carries a cell into the next row.  ``_transfer`` builds masks row by
 row; ``simple_closure`` takes the whole of ``_slide_walk``, the one order-0
 walk, and the bad-pair search in ``correspondence`` stops it at the first
-crossing level with its cover parent.  ``ladder_move``, the walk's closure,
-the transfer and both of its folds certify what they return with explicit
-checks that raise RuntimeError.
+crossing level with its cover parent.  The walk's closure, the transfer
+and both of its folds certify what they return with explicit checks that
+raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -57,9 +55,6 @@ PipeDream = frozenset  # of Cell
 __all__ = [
     "Cell",
     "PipeDream",
-    "permutation_of",
-    "bottom_pipe_dream",
-    "ladder_move",
     "all_pipe_dreams",
     "simple_closure",
     "weight",
@@ -96,21 +91,6 @@ def _replay(d: int, line: list) -> Optional[tuple]:
             line[i], line[i + 1] = right, left
         d >>= stride
     return tuple(line)
-
-
-def permutation_of(cells) -> Optional[Permutation]:
-    """Target permutation of a reduced crossing set, or None if not reduced.
-    Raises ValueError on a cell with a row or column below 1."""
-    bad = next((cell for cell in cells if min(cell) < 1), None)
-    if bad is not None:
-        raise ValueError(f"{bad} is not a cell: rows and columns start at 1")
-    size = max((r + c for r, c in cells), default=0)
-    line = _replay(_mask(cells, size, 0), list(range(1, size + 1)))
-    return None if line is None else trim(line)
-
-
-def bottom_pipe_dream(w: Permutation) -> PipeDream:
-    return frozenset(_code_cells(lehmer_code(trim(w))))
 
 
 def _slides(d: int, stride: int) -> int:
@@ -172,27 +152,6 @@ def _slide_walk(cells, n: int, parents) -> tuple[dict, list, Optional[int]]:
                 return prev, reached, nxt
             reached.append((nxt, moved))
     return prev, reached, None
-
-
-def ladder_move(cells: PipeDream, cell: Cell, k: int) -> Optional[PipeDream]:
-    """Apply the order-k ladder move at ``cell``; None when not applicable.
-
-    Crossing (r, c) moves to (r - k - 1, c + 1) when (r, c + 1) is empty,
-    rows r - 1 .. r - k are full in columns c and c + 1, and row r - k - 1
-    is empty there (Bergeron-Billey).  Order 0 is the simple slide."""
-    if cell not in cells:
-        raise ValueError(f"{cell} is not a crossing of the pipe dream")
-    r, c = cell
-    top = r - k - 1
-    if top < 1 or (r, c + 1) in cells:
-        return None
-    rungs = [((row, c) in cells, (row, c + 1) in cells) for row in range(top, r)]
-    if rungs != [(False, False)] + [(True, True)] * k:
-        return None
-    moved = (cells - {cell}) | {(top, c + 1)}
-    if permutation_of(moved) != permutation_of(cells):
-        raise RuntimeError(f"ladder move at {cell} broke reducedness")
-    return frozenset(moved)
 
 
 def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:

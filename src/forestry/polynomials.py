@@ -30,7 +30,6 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "monomial_of",
-    "divided_difference",
 ]
 
 
@@ -335,15 +334,3 @@ def _divided_difference(
                 del out[key]
             key -= step
     return out
-
-
-def divided_difference(p: Polynomial, i: int) -> Polynomial:
-    """(p - p with x_i, x_{i+1} swapped) / (x_i - x_{i+1}), exactly."""
-    if i < 1:
-        raise ValueError("variables are numbered from 1")
-    packing = _Packing(
-        max(i + 1, max(map(len, p._terms), default=0)),
-        max(map(max, filter(None, p._terms)), default=0),
-    )
-    terms = {packing.pack(exps): coeff for exps, coeff in p._terms.items()}
-    return packing.decode(_divided_difference(terms, i, packing))

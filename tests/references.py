@@ -1,12 +1,13 @@
 """The one test-side copy of each shared helper: hypothesis generators, the
 grid layout of the references, the labeling weight, the one-point deletion,
-and the per-cell Bergeron-Billey ladder scan with the closure it generates.  Not a test
-module; test modules import from it."""
+the bottom dream and the reading of a cell set, and the per-cell
+Bergeron-Billey ladder scan with the closure it generates.  None of them
+reads the package's mask frame or its cell list.  Not a test module; test
+modules import from it."""
 
 from hypothesis import strategies as st
 
-from forestry.permutations import trim
-from forestry.pipedreams import bottom_pipe_dream
+from forestry.permutations import lehmer_code, trim
 from forestry.polynomials import Polynomial
 
 x = Polynomial.variable
@@ -50,6 +51,24 @@ def reference_deletion(w, j):
     return tuple(u - (u > v) for u in w[:j] + w[j + 1 :])
 
 
+def reference_bottom(w):
+    # the bottom pipe dream: row i holds the first code(i) cells
+    return frozenset((i, t) for i, k in enumerate(lehmer_code(w), 1) for t in range(1, k + 1))
+
+
+def reference_reading(cells):
+    """The permutation, trimmed, that the cells' letters r + c - 1 give as
+    adjacent swaps, read rows top to bottom and each right to left; None
+    when a swap meets a non-ascent, so the cells are no reduced dream."""
+    line = list(range(1, max((r + c for r, c in cells), default=0) + 1))
+    for r, c in sorted(cells, key=lambda cell: (cell[0], -cell[1])):
+        a = r + c - 1
+        if line[a - 1] > line[a]:
+            return None
+        line[a - 1], line[a] = line[a], line[a - 1]
+    return trim(tuple(line))
+
+
 def reference_move(d, width, cell):
     """The one ladder move at crossing ``cell`` = (r, c) of mask ``d``, as
     (order, target), found by scanning up from the cell: a row with both
@@ -78,7 +97,7 @@ def reference_closure(w, max_order=None):
     masks of width len(w)."""
     w = trim(w)
     width = max(len(w), 1)
-    start = bottom_pipe_dream(w)
+    start = reference_bottom(w)
     seen, stack = {start}, [start]
     while stack:
         cells = stack.pop()

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 import sys
 import threading
 
 import pytest
 from hypothesis import given, strategies as st
-from references import codes, perms, reference_deletion
+from references import perms, reference_deletion
 
 from forestry import permutations
 from forestry.permutations import (
@@ -24,7 +25,6 @@ from forestry.permutations import (
     lehmer_code,
     parse_permutation,
     pattern_witness,
-    perm_from_code,
     trim,
     trim_zeros,
 )
@@ -91,35 +91,32 @@ def test_lehmer_code_fixtures():
 
 
 def test_perm_from_code_fixtures():
-    assert perm_from_code((3, 0, 1, 0)) == (4, 1, 3, 2)
-    assert perm_from_code(()) == ()
-    assert perm_from_code((0, 0)) == (1, 2)
-    # entries may exceed what a same-length window allows; n grows to fit
-    assert perm_from_code((2,)) == (3, 1, 2)
+    # the code -> permutation fixtures, read in the lehmer_code direction;
+    # a code longer than its window belongs to the least n that fits it
+    assert lehmer_code((4, 1, 3, 2)) == (3, 0, 1, 0)
+    assert lehmer_code(()) == ()
+    assert lehmer_code((1, 2)) == (0, 0)
+    assert lehmer_code((3, 1, 2)) == (2, 0, 0)
 
 
-def test_perm_from_code_rejects_negative():
-    with pytest.raises(ValueError):
-        perm_from_code((1, -1))
+def test_code_round_trip_from_permutation():
+    # w comes back from its code: the codes of S_n are distinct
+    for n in range(1, 7):
+        assert len({lehmer_code(w) for w in all_permutations(n)}) == math.factorial(n)
 
 
-@given(perms(6))
-def test_code_round_trip_from_permutation(w):
-    assert trim(perm_from_code(lehmer_code(w))) == trim(w)
+def test_code_round_trip_from_code():
+    # every vector with entry i at most n - i - 1 is the code of some w in S_n
+    for n in range(1, 7):
+        box = set(itertools.product(*(range(n - i) for i in range(n))))
+        assert {lehmer_code(w) for w in all_permutations(n)} == box
 
 
-@given(codes(6, 4))
-def test_code_round_trip_from_code(code):
-    assert lehmer_code(perm_from_code(code)) == tuple(
-        trim_zeros(code)
-    ) + (0,) * (len(perm_from_code(code)) - len(trim_zeros(code)))
-
-
-@given(codes(6, 4))
-def test_code_entries_fit_their_suffix(code):
-    w = perm_from_code(code)
-    c = lehmer_code(w)
-    assert all(c[i] <= len(w) - i - 1 for i in range(len(w)))
+def test_code_entries_fit_their_suffix():
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            c = lehmer_code(w)
+            assert all(c[i] <= n - i - 1 for i in range(n)), w
 
 
 # --- pattern containment ----------------------------------------------------

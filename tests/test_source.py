@@ -7,6 +7,7 @@ import forestry
 
 PACKAGE = Path(forestry.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def defined_names(stmt):
@@ -23,13 +24,15 @@ def defined_names(stmt):
 
 
 def used_names(node):
-    # names read anywhere under node, bare or as an attribute
+    # names read anywhere under node, bare, as an attribute or imported
     used = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             used.add(n.id)
         elif isinstance(n, ast.Attribute):
             used.add(n.attr)
+        elif isinstance(n, ast.alias):
+            used.add(n.name)
     return used
 
 
@@ -54,14 +57,51 @@ def test_every_private_module_name_is_used_in_the_package():
     assert unused == []
 
 
+def exported(tree):
+    # the names a module's __all__ lists
+    return {
+        name
+        for stmt in tree.body
+        if "__all__" in defined_names(stmt)
+        for name in ast.literal_eval(stmt.value)
+    }
+
+
+def test_every_public_name_has_a_caller():
+    # a name in a module's __all__ is read by another module of the package,
+    # by its own module outside the statement that defines it, by the
+    # benchmark or by an acceptance criterion; the package's __init__ only
+    # re-exports, so it neither counts as a reader nor exports anything new
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    init = trees.pop("__init__")
+    outside = [*sorted(PERFBENCH.glob("*.py")), TESTS / "test_acceptance.py"]
+    read_outside = set().union(
+        *(used_names(ast.parse(path.read_text(), filename=str(path))) for path in outside)
+    )
+    uses = {module: used_names(tree) for module, tree in trees.items()}
+    uncalled = []
+    for module, tree in trees.items():
+        read_elsewhere = read_outside.union(*(u for m, u in uses.items() if m != module))
+        for name in sorted(exported(tree)):
+            read_at_home = any(
+                name in used_names(stmt) for stmt in tree.body if name not in defined_names(stmt)
+            )
+            if not read_at_home and name not in read_elsewhere:
+                uncalled.append(name)
+    assert uncalled == []
+    assert exported(init) <= set().union(*map(exported, trees.values()))
+
+
 def modules_naming(names):
     # per module of the package, which of names it defines, reads or imports
     named = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        aliases = {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
         defined = {n for stmt in tree.body for n in defined_names(stmt)}
-        named[path.name] = names & (used_names(tree) | aliases | defined)
+        named[path.name] = names & (used_names(tree) | defined)
     return named
 
 
