@@ -2,10 +2,10 @@
 
 Subcommands: schubert, forest, check, pipedreams, verify.  Exit codes:
 0 success / verdicts agree, 1 usage or parse errors, a reader that closed
-stdout early or a ``verify`` worker process that died, 2 a verdict split
-(the pattern test and the polynomial test disagreeing) or an oracle
-mismatch.  ``--json`` keeps stdout machine-parseable; progress chatter for
-long verification runs goes to stderr.
+stdout early, a ``verify`` worker process that died or no memory left, 2 a
+verdict split (the pattern test and the polynomial test disagreeing) or an
+oracle mismatch.  ``--json`` keeps stdout machine-parseable; progress
+chatter for long verification runs goes to stderr.
 """
 
 from __future__ import annotations
@@ -309,6 +309,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # malformed input or a dead verify worker: the library's message,
         # on one line
         print(f"forestry: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        exc.__traceback__ = None  # frees the frames that ran out, so printing can work
+        print("forestry: error: out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader went away (``forestry ... | head``); point stdout at

@@ -142,32 +142,36 @@ def replay_simple_moves(w: Permutation, moves) -> dict[Vertex, Cell]:
 
 
 def find_bad_pair(w: Permutation) -> Optional[BadPair]:
-    """Breadth-first search of the id-tracked simple-move closure for a
-    covering pair with row(child) <= row(parent)."""
+    """The first state in breadth-first order of the id-tracked simple-move
+    closure with a covering pair at row(child) <= row(parent), as a witness."""
     w = trim(w)
     code = trim_zeros(lehmer_code(w))
-    return _search_bad_pair(code, _layout(code), len(w))
-
-
-def _search_bad_pair(code, steps, n: int) -> Optional[BadPair]:
-    """``find_bad_pair`` for the permutation of the trimmed ``code``, whose
-    trimmed length is ``n``; ``steps`` are ``_layout(code)``'s.  The
-    walk never stops at its start, as cover children lie in later rows."""
-    parents = [-1] * sum(code)
-    for s, parent, start, _ in steps:
-        parents[s] = -1 if start else parent  # a cover's parent, else -1
-    if max(parents, default=-1) < 0:
+    if (found := _search_bad_pair(code, _layout(code), len(w))) is None:
         return None
+    parents, prev, stop = found
     ids = _code_cells(code)
-    prev, _, stop = _slide_walk(ids, n, parents)
-    if stop is None:
-        return None
-    child = prev[stop][1]
+    child = prev[stop][1]  # not the start's: cover children lie in later rows
     moves: list[Vertex] = []
     while prev[stop] is not None:
         stop, idx = prev[stop]
         moves.append(ids[idx])
     return BadPair(parent=ids[parents[child]], child=ids[child], moves=tuple(moves[::-1]))
+
+
+def _search_bad_pair(code, steps, n: int) -> Optional[tuple[list, dict, int]]:
+    """The walk of ``find_bad_pair`` on the trimmed ``code`` of a w of trimmed
+    length ``n``; ``steps`` are ``_layout(code)``'s.  None when no crossing
+    reaches its cover parent's row, else the cover parents by slot, the
+    walk's ``prev`` and its stop; ``verify`` only asks whether it is None."""
+    parents = [-1] * sum(code)
+    covered = False
+    for s, parent, start, _ in steps:
+        if not start and parent >= 0:  # a cover: slot s is a right child
+            parents[s], covered = parent, True
+    if not covered:
+        return None
+    prev, _, stop = _slide_walk(_code_cells(code), n, parents)
+    return None if stop is None else (parents, prev, stop)
 
 
 def is_forest_by_expansion(w: Permutation) -> bool:
@@ -297,16 +301,18 @@ def _sweep(prefix: Permutation, n: int, packing: _Packing):
     stack = [(top, code, lead, frozen)]
     while stack:
         u, code, lead, terms = stack.pop()
-        if terms.get(lead, 0) >> shift & digit != 1 or any(
-            value & below or key < lead and value >> shift & digit
-            for key, value in terms.items()
-        ):
+        if terms.get(lead, 0) >> shift & digit != 1:
             raise RuntimeError(f"divided-difference sweep went wrong at {u}")
+        for key, value in terms.items():
+            if value & below or key < lead and value >> shift & digit:
+                raise RuntimeError(f"divided-difference sweep went wrong at {u}")
         yield u, trim_zeros(code), terms
         # with f the first ascent >= 3 of u (n if none), w = u s_i has
         # first ascent i for each i < f, and for i = f + 1 when
         # u(f+1) > u(f+2) < u(f); for no other i
-        f = next((i for i in range(3, n) if u[i - 1] < u[i]), n)
+        f = 3
+        while f < n and u[f - 1] > u[f]:
+            f += 1
         children = list(range(3, f))
         if f + 1 < n and u[f - 1] > u[f + 1] < u[f]:
             children.append(f + 1)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import weakref
 from unittest import mock
 
 import pytest
@@ -127,6 +128,29 @@ def test_forest_deep_code(capsys):
     assert code == 0
     assert err == ""
     assert out.splitlines()[0] == "*".join(f"x{i}" for i in range(1, 1101))
+
+
+def test_forest_out_of_memory_exits_1(capsys, monkeypatch):
+    # nothing really runs out here: the forest builder raises as a huge
+    # code makes it do under a memory limit, while its frame still holds a
+    # hoard, and the hoard is freed before the error line is printed
+    hoards, freed = [], []
+
+    def exhausted(code):
+        hoard = set()
+        hoards.append(weakref.ref(hoard))
+        raise MemoryError
+
+    def watched_print(*args, **kwargs):
+        freed.append(hoards[0]() is None)
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "forest_from_code", exhausted)
+    monkeypatch.setattr(cli, "print", watched_print, raising=False)
+    assert input_error(capsys, "forest", "--code", "99999999999999999999") == (
+        "forestry: error: out of memory"
+    )
+    assert freed == [True]
 
 
 def test_forest_json(capsys):

@@ -561,6 +561,36 @@ def test_bulk_verify_fills_no_cache():
     assert [cache.cache_info() for cache in caches] == before
 
 
+def test_bulk_verify_builds_no_witness(monkeypatch):
+    # the cross-check reads only whether the walk stopped: naming the pair
+    # and its moves is find_bad_pair's work alone
+    def no_witness(*args, **kwargs):
+        raise AssertionError("verify built a BadPair")
+
+    monkeypatch.setattr(correspondence, "BadPair", no_witness)
+    report = verify_theorem(6)
+    counts = (report.total, report.pattern_positive, report.expansion_positive)
+    assert counts + (report.badpair_checked,) == (720, 274, 274, 513)
+    assert report.disagreements == report.badpair_disagreements == ()
+
+
+def test_unit_verdict_is_find_bad_pair_verdict():
+    # the walk verify runs on a 1432-avoider stops exactly when
+    # find_bad_pair names a witness, and every witness replays
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            if contains_pattern(w, PATTERN_1432):
+                continue
+            u = trim(w)
+            code = trim_zeros(lehmer_code(u))
+            stopped = correspondence._search_bad_pair(code, _layout(code), len(u))
+            found = find_bad_pair(w)
+            assert (stopped is not None) == (found is not None), w
+            if found is not None:
+                placement = replay_simple_moves(w, found.moves)
+                assert placement[found.child][0] <= placement[found.parent][0], w
+
+
 @pytest.mark.parametrize("w", sorted(BAD_PAIR_FIXTURES))
 def test_order_0_walks_fill_no_cache(w):
     # the bad-pair search, the replay of its witness and the simple-move
