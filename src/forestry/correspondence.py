@@ -23,9 +23,9 @@ that identification:
   one-pass code layout.
   With ``jobs`` > 1 it forks its worker processes itself: each child
   inherits n, the avoider table and the code, takes one unit at a time
-  over a pipe and answers with one length-framed ``marshal`` record, so
-  no run imports ``concurrent.futures`` or ``multiprocessing`` and nothing
-  is pickled.
+  over a pipe and answers with one ``marshal`` record per unit, so no
+  run imports ``concurrent.futures`` or ``multiprocessing`` and nothing is
+  pickled.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import operator
 import os
 import time
-from typing import Callable, NamedTuple, Optional
+from typing import BinaryIO, Callable, NamedTuple, Optional
 
 from .forests import (
     Labeling,
@@ -395,17 +395,19 @@ class WorkerDied(RuntimeError):
 
 def _serve(work: Callable, items: list, orders: int, results: int) -> None:
     """A forked child's loop: read a 4-byte item index from ``orders``,
-    answer on ``results`` with an 8-byte length and the ``marshal`` record
-    (None, work(item)), or (message, None) when the work raised; stop when
-    ``orders`` is closed."""
-    while index := os.read(orders, 4):
-        try:
-            record = marshal.dumps((None, work(items[int.from_bytes(index, "little")])))
-        except Exception as exc:
-            record = marshal.dumps((f"{type(exc).__name__} in a worker: {exc}", None))
-        frame = memoryview(len(record).to_bytes(8, "little") + record)
-        while frame:
-            frame = frame[os.write(results, frame) :]
+    answer on ``results`` with one ``marshal`` record, (None, work(item)),
+    or (message, None) when the work raised; stop when ``orders`` is
+    closed.  A ``MemoryError`` is raised on, so the child dies with it."""
+    with os.fdopen(results, "wb") as out:
+        while index := os.read(orders, 4):
+            try:
+                record = (None, work(items[int.from_bytes(index, "little")]))
+            except MemoryError:
+                raise
+            except Exception as exc:
+                record = (f"{type(exc).__name__} in a worker: {exc}", None)
+            marshal.dump(record, out)
+            out.flush()
 
 
 def _fork_map(work: Callable, items: list, jobs: int, absorb: Callable) -> None:
@@ -415,12 +417,13 @@ def _fork_map(work: Callable, items: list, jobs: int, absorb: Callable) -> None:
     A child inherits ``work`` and ``items``; it is sent only item indices.
     An idle child gets the next item in order, so a run that lists its
     heaviest items first starts them first.  Records are held until every
-    earlier one is absorbed.  A child that closes its pipe without
-    answering raises ``WorkerDied``; an exception in a child's work raises
-    ``RuntimeError`` with its message when that item's turn comes.  Every
-    child is killed and reaped on the way out, whatever the way.  A fork
-    copies only the calling thread, so the caller must run no other
-    threads; the CLI runs none.
+    earlier one is absorbed.  A child is handed its next item only after
+    its answer is read, so a reader never buffers past the record it reads.
+    A child that closes its pipe without answering raises ``WorkerDied``;
+    an exception in a child's work raises ``RuntimeError`` with its message
+    when that item's turn comes.  Every child is killed and reaped on the
+    way out, whatever the way.  A fork copies only the calling thread, so
+    the caller must run no other threads; the CLI runs none.
     """
     # only a parallel run pays for these two imports
     import select
@@ -429,6 +432,7 @@ def _fork_map(work: Callable, items: list, jobs: int, absorb: Callable) -> None:
     pids: list[int] = []
     fds: list[int] = []  # the pipe ends this process holds
     orders: dict[int, int] = {}  # a child's results end -> its orders end
+    readers: dict[int, BinaryIO] = {}  # a child's results end -> a reader on it
     held: dict[int, int] = {}  # a busy child's results end -> its item
     waiting: dict[int, tuple] = {}  # item -> record not yet absorbed
     handed = absorbed = 0
@@ -442,15 +446,6 @@ def _fork_map(work: Callable, items: list, jobs: int, absorb: Callable) -> None:
             raise WorkerDied(died) from None
         held[child] = handed
         handed += 1
-
-    def read(child: int, size: int) -> bytes:
-        data = b""
-        while len(data) < size:
-            chunk = os.read(child, size - len(data))
-            if not chunk:
-                raise WorkerDied(died)
-            data += chunk
-        return data
 
     try:
         for _ in range(jobs):
@@ -473,15 +468,17 @@ def _fork_map(work: Callable, items: list, jobs: int, absorb: Callable) -> None:
                 os.close(fd)
                 fds.remove(fd)
             orders[results_r] = orders_w
+            readers[results_r] = os.fdopen(results_r, "rb", closefd=False)
         poller = select.poll()
         for child in orders:
             poller.register(child, select.POLLIN)
             hand_out(child)
         while absorbed < len(items):
             for child, _ in poller.poll():
-                # a child writes its whole record at once: read it whole
-                size = int.from_bytes(read(child, 8), "little")
-                waiting[held.pop(child)] = marshal.loads(read(child, size))
+                try:
+                    waiting[held.pop(child)] = marshal.load(readers[child])
+                except EOFError:
+                    raise WorkerDied(died) from None
                 if handed < len(items):
                     hand_out(child)
                 else:

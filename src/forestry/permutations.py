@@ -181,26 +181,13 @@ def insert(w: Permutation, i: int, k: int) -> Permutation:
 
 # Pattern verdicts work on byte forms, bytes(w).  _LOWERING[v] lowers every
 # byte above v by one, _RAISING[v] raises every byte from v up by one, and
-# _ONE_BYTE[v] is bytes((v,)).  They fill in up to the largest size asked
-# for, nothing at import; keyed by value, a concurrent double fill stores
-# the same map twice, where appending to lists would shift the indices.
-_BYTE_LIMIT = 255
-_LOWERING: dict[int, bytes] = {}
-_RAISING: dict[int, bytes] = {}
-_ONE_BYTE: dict[int, bytes] = {}
-
-
-def _byte_maps(n: int) -> None:
-    """Fill the byte maps for every value 0..n."""
-    if n > _BYTE_LIMIT:
-        raise ValueError(
-            f"a permutation of more than {_BYTE_LIMIT} values has no byte form"
-        )
-    for v in range(len(_ONE_BYTE), n + 1):
-        low, high = bytes(range(v, 255)), bytes(range(v + 1, 256))
-        _LOWERING[v] = bytes.maketrans(high, low)
-        _RAISING[v] = bytes.maketrans(low, high)
-        _ONE_BYTE[v] = bytes((v,))
+# _ONE_BYTE[v] is bytes((v,)); each is sliced from the identity map once,
+# at import.
+_IDENTITY = bytes(range(256))
+_LOWERING = tuple(_IDENTITY[: v + 1] + _IDENTITY[v:255] for v in range(256))
+_RAISING = tuple(_IDENTITY[:v] + _IDENTITY[v + 1 :] + _IDENTITY[255:] for v in range(256))
+_ONE_BYTE = tuple(_IDENTITY[v : v + 1] for v in range(256))
+_NO_BYTE_FORM = "a permutation of more than 255 values has no byte form"
 
 
 def avoidance_bits(w, pattern_sets, smaller: Mapping[bytes, int]) -> int:
@@ -217,8 +204,8 @@ def avoidance_bits(w, pattern_sets, smaller: Mapping[bytes, int]) -> int:
     deletion of the value v is one ``bytes.translate`` of w that drops the
     byte v and lowers the bytes above it.  More than 255 values raise
     ``ValueError``."""
-    if len(w) >= len(_ONE_BYTE):
-        _byte_maps(len(w))
+    if len(w) > 255:
+        raise ValueError(_NO_BYTE_FORM)
     lowering, one_byte = _LOWERING, _ONE_BYTE
     w = bytes(w)
     bits = 0
@@ -239,7 +226,8 @@ def avoider_table(pattern_sets, n: int) -> dict[bytes, int]:
     k are the entries v of size k - 1 with one more last value, each one
     ``bytes.translate`` that raises the values from ``last`` up, then
     ``last`` appended.  n above 255 raises ``ValueError``."""
-    _byte_maps(n)
+    if n > 255:
+        raise ValueError(_NO_BYTE_FORM)
     level = {b"": avoidance_bits(b"", pattern_sets, {})}
     for k in range(1, n + 1):
         grow = [(_RAISING[last], _ONE_BYTE[last]) for last in range(1, k + 1)]

@@ -20,6 +20,7 @@ bulk ``verify`` never decodes: it also freezes x1 and x2 into its values
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .permutations import trim_zeros
@@ -46,11 +47,7 @@ def monomial_of(indices: Sequence[int]) -> Monomial:
 
 def _merge(exps: Monomial, other: Monomial) -> Monomial:
     # exponentwise sum; result needs no trim (no cancellation of positives)
-    if len(exps) < len(other):
-        exps, other = other, exps
-    return tuple(
-        e + (other[i] if i < len(other) else 0) for i, e in enumerate(exps)
-    )
+    return tuple(map(sum, zip_longest(exps, other, fillvalue=0)))
 
 
 class Polynomial:
@@ -157,9 +154,8 @@ class Polynomial:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._terms == other._terms
 

@@ -10,7 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from forestry import cli, correspondence
 from forestry.cli import main
-from forestry.correspondence import find_bad_pair, replay_simple_moves
+from forestry.correspondence import find_bad_pair, is_forest_by_expansion, replay_simple_moves
 from forestry.forests import forest_from_code, forest_to_json
 from forestry.permutations import all_permutations
 from forestry.pipedreams import schubert
@@ -227,6 +227,24 @@ def test_check_json_moves_replay_as_printed(capsys):
     assert witnessed > 0
 
 
+def test_check_reports_a_verdict_split(capsys, monkeypatch):
+    # with the expansion test's answer flipped, 1432 splits the verdicts
+    monkeypatch.setattr(cli, "is_forest_by_expansion", lambda w: not is_forest_by_expansion(w))
+    code, out, err = run(capsys, "check", "1432")
+    assert code == 2
+    assert out.splitlines()[:3] == [
+        "NOT forest: contains 1432 at indices (1,2,3,4)",
+        "pattern test: not a forest",
+        "expansion test: Schubert polynomial equals the forest polynomial",
+    ]
+    assert err == "VERDICT SPLIT: the two tests disagree\n"
+    code, out, err = run(capsys, "check", "1432", "--json")
+    assert code == 2
+    obj = json.loads(out)
+    assert (obj["pattern_forest"], obj["expansion_forest"], obj["agree"]) == (False, True, False)
+    assert err == ""
+
+
 # --- pipedreams ---------------------------------------------------------------
 
 
@@ -295,6 +313,45 @@ def test_verify_json(capsys):
     assert obj["badpair_disagreements"] == []
 
 
+def test_verify_reports_verdict_splits(capsys, monkeypatch):
+    # with no avoiders every pattern verdict is negative, so each of the
+    # 21 expansion-positive permutations is a split, listed in order
+    monkeypatch.setattr(correspondence, "avoider_table", lambda pattern_sets, n: {})
+    code, out, _ = run(capsys, "verify", "4", "--jobs", "1")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[1:4] == [
+        "pattern-positive: 0, expansion-positive: 21",
+        "disagreements: 21",
+        "  {'permutation': [], 'pattern': False, 'expansion': True}",
+    ]
+    assert all(line.startswith("  {'permutation': ") for line in lines[3:24])
+    assert lines[24] == "bad-pair cross-check: 0 permutations, 0 disagreements"
+    assert lines[25].startswith("elapsed: ") and len(lines) == 26
+
+
+def test_verify_reports_bad_pair_disagreements(capsys, monkeypatch):
+    # a walk that always stops claims a bad pair for each 1432-avoider, so
+    # the 21 whose expansion holds disagree with it
+    monkeypatch.setattr(correspondence, "_search_bad_pair", lambda code, steps, n: ([], {}, 0))
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
+    first = {"permutation": [], "bad_pair_found": True, "expansion_equal": True}
+    code, out, _ = run(capsys, "verify", "4", "--jobs", "1")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[2:5] == [
+        "disagreements: 0",
+        "bad-pair cross-check: 23 permutations, 21 disagreements",
+        f"  {first}",
+    ]
+    assert all(line.startswith("  {'permutation': ") for line in lines[4:25])
+    assert lines[25].startswith("elapsed: ") and len(lines) == 26
+    code, out, _ = run(capsys, "verify", "4", "--json", "--jobs", "2")
+    assert code == 2
+    entries = json.loads(out)["badpair_disagreements"]
+    assert len(entries) == 21 and entries[0] == first
+
+
 def test_verify_range_checks(capsys):
     out_of_range = "forestry: error: n must be between 1 and "
     assert input_error(capsys, "verify", "0") == out_of_range + "7"
@@ -329,6 +386,23 @@ def test_verify_real_worker_death_exits_1(capsys, monkeypatch):
         os._exit(3)
 
     monkeypatch.setattr(correspondence, "_verify_unit", die)
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
+    code, out, err = run(capsys, "verify", "4", "--jobs", "2")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "forestry: error: a worker process died before verify finished"
+    ]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks its workers")
+def test_verify_worker_out_of_memory_exits_1(capsys, monkeypatch):
+    # a worker that runs out of memory dies with it, so the run ends as
+    # for any dead worker
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(correspondence, "_verify_unit", exhausted)
     monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
     code, out, err = run(capsys, "verify", "4", "--jobs", "2")
     assert code == 1

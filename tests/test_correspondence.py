@@ -526,6 +526,12 @@ def test_verify_small_n():
         assert report.elapsed_ms >= 0
 
 
+def test_verify_rejects_n_below_1():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            verify_theorem(n)
+
+
 def test_verify_rejects_jobs_below_1():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="--jobs must be at least 1"):
@@ -633,6 +639,22 @@ def test_verify_parallel_merge_matches_serial(monkeypatch):
     assert split == sorted(split)
 
 
+def test_bad_pair_cross_check_lists_each_disagreement(monkeypatch):
+    # a walk that always stops claims a bad pair for each of the 23
+    # 1432-avoiders of S_4, so the 21 whose expansion holds are listed in
+    # order, serially and in parallel
+    monkeypatch.setattr(correspondence, "_search_bad_pair", lambda code, steps, n: ([], {}, 0))
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
+    forests = sorted(list(trim(w)) for w in all_permutations(4) if avoids_forbidden(w))
+    for jobs in (1, 2):
+        report = verify_theorem(4, jobs=jobs)
+        assert (report.badpair_checked, report.disagreements) == (23, ())
+        entries = report.badpair_disagreements
+        assert [entry["permutation"] for entry in entries] == forests
+        assert entries[0] == {"permutation": [], "bad_pair_found": True, "expansion_equal": True}
+        assert all(entry["bad_pair_found"] and entry["expansion_equal"] for entry in entries)
+
+
 def test_worker_exception_reaches_the_caller(monkeypatch):
     def fail(prefix, n, table):
         raise RuntimeError(f"sweep went wrong at {prefix}")
@@ -652,8 +674,7 @@ def test_worker_that_stops_taking_units_is_a_dead_worker(monkeypatch):
     def answer_once(work, items, orders, results):
         index = int.from_bytes(os.read(orders, 4), "little")
         os.close(orders)
-        record = marshal.dumps((None, work(items[index])))
-        os.write(results, len(record).to_bytes(8, "little") + record)
+        os.write(results, marshal.dumps((None, work(items[index]))))
 
     monkeypatch.setattr(correspondence, "_serve", answer_once)
     monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)

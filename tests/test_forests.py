@@ -6,6 +6,7 @@ from references import codes, x
 
 from forestry import forests
 from forestry.forests import (
+    _labeling_sum,
     _layout,
     code_of_forest,
     forest_from_code,
@@ -16,7 +17,7 @@ from forestry.forests import (
     valid_labelings,
 )
 from forestry.permutations import all_permutations, lehmer_code, trim_zeros
-from forestry.polynomials import Polynomial
+from forestry.polynomials import Polynomial, _Packing
 
 
 def subtree(forest, v):
@@ -319,6 +320,19 @@ def test_labeling_constraints_enforced():
     assert not is_valid_labeling(forest, lab(1, 1, 2))  # chain must fall inward
     assert not is_valid_labeling(forest, lab(1, 2, 1))  # right child must rise
     assert not is_valid_labeling(forest, (1, 2))  # bad arity
+
+
+def test_labeling_sum_refuses_weights_the_packing_cannot_hold():
+    # three labels of x_1 need a 2-bit field, and a label of x_2 a second
+    # field; one size up, the same sum fits
+    for code, narrow, wide in [
+        ((3,), _Packing(1, 1), _Packing(1, 3)),
+        ((0, 1), _Packing(1, 3), _Packing(2, 1)),
+    ]:
+        with pytest.raises(RuntimeError, match="overflow the packing"):
+            _labeling_sum(_layout(code), narrow)
+        expected = forest_polynomial(forest_from_code(code))
+        assert wide.decode(_labeling_sum(_layout(code), wide)) == expected
 
 
 def reference_is_valid_labeling(forest, labeling):

@@ -1,8 +1,6 @@
 import itertools
 import math
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -277,39 +275,12 @@ def test_avoider_candidates_are_insertions(monkeypatch):
 
 
 def test_byte_maps_shift_every_value():
-    permutations._byte_maps(255)
+    maps = (permutations._LOWERING, permutations._RAISING, permutations._ONE_BYTE)
+    assert [len(m) for m in maps] == [256] * 3
     for v in range(256):
         assert list(permutations._LOWERING[v]) == [u - (u > v) for u in range(256)], v
         assert list(permutations._RAISING[v]) == [u + (v <= u < 255) for u in range(256)], v
         assert permutations._ONE_BYTE[v] == bytes((v,))
-
-
-def test_byte_maps_fill_safely_from_threads(monkeypatch):
-    # threads that start together on empty maps, each filling them to its
-    # own size, still delete every value right
-    words = [tuple(range(n, 0, -1)) for n in range(20, 60, 5)]
-    expected = [[bytes(reference_deletion(w, j)) for j in range(len(w))] for w in words]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            for name in ("_LOWERING", "_RAISING", "_ONE_BYTE"):
-                monkeypatch.setattr(permutations, name, {})
-            start, tables = threading.Barrier(len(words)), [Lookups() for _ in words]
-
-            def run(w, table):
-                start.wait()
-                avoidance_bits(w, ((),), table)
-
-            threads = [threading.Thread(target=run, args=pair) for pair in zip(words, tables)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert [table.keys_asked for table in tables] == expected
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_more_than_255_values_have_no_byte_form():

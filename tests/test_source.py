@@ -126,10 +126,80 @@ def test_only_polynomials_names_the_intern_table():
 def test_only_permutations_names_the_byte_maps():
     # one-point deletions and value insertions on byte forms go through
     # per-value lowering and raising maps, built and read in one module
-    maps = {"_LOWERING", "_RAISING", "_ONE_BYTE", "_byte_maps"}
+    maps = {"_LOWERING", "_RAISING", "_ONE_BYTE"}
     named = modules_naming(maps)
     assert named.pop("permutations.py") == maps
     assert {name: found for name, found in named.items() if found} == {}
+
+
+# methods that change the object they are called on
+MUTATORS = {
+    "append", "extend", "insert", "update", "setdefault", "clear",
+    "pop", "popitem", "add", "discard", "remove",
+}
+
+
+def local_names(func):
+    # the names a function binds for itself, nested scopes included (its
+    # parameters and the names it assigns) less those it declares global;
+    # and the names it declares global
+    bound = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+    bound |= {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+    declared = {name for n in ast.walk(func) if isinstance(n, ast.Global) for name in n.names}
+    return bound - declared, declared
+
+
+def base_name(node):
+    # the name an attribute or subscript chain starts from, if any
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_state_writes(tree):
+    # (function, code) for each place where a function stores into,
+    # deletes from or calls a mutating method on a module-level name
+    module = {n for stmt in tree.body for n in defined_names(stmt)}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            module.update((a.asname or a.name).split(".")[0] for a in stmt.names)
+    writes = []
+
+    def visit(node, scope, state):
+        # state: the module-level names visible in the enclosing function,
+        # None outside functions
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                inner = scope + ("." if scope else "") + getattr(child, "name", "<lambda>")
+                if isinstance(child, ast.ClassDef):
+                    visit(child, inner, state)
+                else:
+                    bound, declared = local_names(child)
+                    visit(child, inner, ((module if state is None else state) | declared) - bound)
+                continue
+            if state is not None:
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                    if child.func.attr in MUTATORS and base_name(child.func.value) in state:
+                        writes.append((scope, ast.unparse(child.func)))
+                elif isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del)):
+                    if base_name(child) in state:
+                        writes.append((scope, ast.unparse(child)))
+            visit(child, scope, state)
+
+    visit(tree, "", None)
+    return writes
+
+
+def test_module_state_stays_fixed():
+    # module-level tables are built at import and only read afterwards;
+    # the one exception is the intern table, which _Packing fills per
+    # field layout
+    writes = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := module_state_writes(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert writes == {"polynomials.py": [("_Packing.__init__", "_INTERNED.setdefault")]}
 
 
 def test_no_test_helper_is_defined_twice():
