@@ -20,7 +20,8 @@ that identification:
   a pipe-dream sum, with x_1 and x_2, which no d_i of a unit moves, frozen
   into one Kronecker int per x_3 .. x_n monomial; both pattern verdicts
   from one table of the avoiders of S_(n-1); and each forest from the
-  one-pass code layout.
+  one-pass code layout, whose counts of 1s and 2s in the least labeling
+  reject most negative verdicts before any labeling is listed.
   With ``jobs`` > 1 it forks its worker processes itself: each child
   inherits n, the avoider table and the code, takes one unit at a time
   over a pipe and answers with one ``marshal`` record per unit, so no
@@ -146,7 +147,7 @@ def find_bad_pair(w: Permutation) -> Optional[BadPair]:
     closure with a covering pair at row(child) <= row(parent), as a witness."""
     w = trim(w)
     code = trim_zeros(lehmer_code(w))
-    if (found := _search_bad_pair(code, _layout(code), len(w))) is None:
+    if (found := _search_bad_pair(code, _layout(code)[0], len(w))) is None:
         return None
     parents, prev, stop = found
     ids = _code_cells(code)
@@ -274,8 +275,8 @@ def _sweep(prefix: Permutation, n: int, packing: _Packing):
     starts with ``prefix``.
 
     The top of the unit, the prefix followed by the other values in
-    decreasing order, comes from ``schubert_divdiff`` and is frozen once.
-    Every other w has a first ascent i >= 3 and its polynomial is the
+    decreasing order, comes from ``_schubert_divdiff_terms`` and is frozen
+    once.  Every other w has a first ascent i >= 3 and its polynomial is the
     divided difference d_i of the polynomial of u = w s_i, which has one
     inversion more and the same prefix; so a depth-first walk down from the
     top reaches each w once.  d_i with i >= 3 is linear over Z[x_1, x_2],
@@ -331,16 +332,38 @@ _PATTERN_SETS = (tuple(map(bytes, FORBIDDEN_PATTERNS)), (bytes(PATTERN_1432),))
 
 def _verify_unit(prefix: Permutation, n: int, table: dict[bytes, int]) -> dict:
     """Counts and disagreements over the permutations starting with
-    ``prefix``; ``table`` is ``avoider_table(_PATTERN_SETS, n - 1)``."""
+    ``prefix``; ``table`` is ``avoider_table(_PATTERN_SETS, n - 1)``.
+
+    A test that can only reject runs before the labelings are listed.  Let
+    a and b be the numbers of 1s and 2s in the least labeling L of the
+    forest of the code, from ``_layout``.  Every valid labeling f is at
+    least L at every vertex, by induction from the roots down, so f's 1s
+    lie among L's 1s; if f has a of them they are L's, and then f's 2s lie
+    among L's 2s.  So every term of the forest polynomial F has (x_1, x_2)
+    exponents at most (a, b) in lex order.  When a, b < n, a term at
+    (e_1, e_2) <= (a, b) has digit e_1*n + e_2 <= a*n + b, and as each
+    digit of ``_freeze(F)`` holds a count below 2^(D-1), every value of it
+    is below 2^(D*(a*n + b + 1)).  So a value of the swept polynomial at
+    or above that bound proves it unequal to ``_freeze(F)``, and the
+    verdict is negative without F.  When a or b is n or more, F has a term
+    at (a, b), no digit holds it, and the verdict is negative whichever
+    way it is reached.  A positive verdict still comes only from
+    ``_same_polynomial``.
+    """
     packing = _packing(n)
+    width = _digit_bits(n)
     out = _tallies()
     disagreements, badpair_disagreements = [], []
     for u, code, terms in _sweep(prefix, n, packing):
         w = trim(u)
-        steps = _layout(code)
+        steps, ones, twos = _layout(code)
         avoids = avoidance_bits(u, _PATTERN_SETS, table)
         by_pattern = avoids & 1 == 1
-        by_expansion = _same_polynomial(terms, _labeling_sum(steps, packing), packing)
+        # nonzero: some term of the swept polynomial lies above (a, b)
+        above = max(terms.values()) >> width * (ones * n + twos + 1)
+        by_expansion = not above and _same_polynomial(
+            terms, _labeling_sum(steps, packing), packing
+        )
         out["total"] += 1
         out["pattern_positive"] += by_pattern
         out["expansion_positive"] += by_expansion

@@ -103,10 +103,11 @@ class IndexedForest:
         return packing.decode(_labeling_sum(self.steps, packing))
 
 
-def _layout(code: LehmerCode) -> list[tuple[int, int, int, int]]:
+def _layout(code: LehmerCode) -> tuple[list[tuple[int, int, int, int]], int, int]:
     """The forest of ``code`` as labeling steps, from one pass over the
-    rows.  Vertex (row, t) has slot (vertices above its row) + t - 1, its
-    index in ``IndexedForest.vertices``.
+    rows, with the numbers of 1s and of 2s in its least valid labeling.
+    Vertex (row, t) has slot (vertices above its row) + t - 1, its index
+    in ``IndexedForest.vertices``.
 
     A step is (slot, parent slot, start, rho), parents first: each row's
     top vertex, then its chain downward.  A vertex counts up from its
@@ -114,15 +115,22 @@ def _layout(code: LehmerCode) -> list[tuple[int, int, int, int]]:
     child (start 0) may not; roots hang off the always-zero slot -1.  The
     covers are read off the steps: start 0 and a parent slot >= 0.
 
+    The least labeling gives each vertex its parent's value + start + 1:
+    a root 1, a left child its parent's value, a right child one more.
+    So a row's chain shares its top's label, 1 for a root and the covering
+    chain's label + 1 otherwise.  It is a valid labeling, as the one that
+    gives every vertex its rho is.
+
     Open chains wait on a stack as [k, next ordinal t, covered any, slot
-    base]; used-up ones are popped at each row.  An empty row uses up
-    vertex t of the top chain until that chain first covers, and is free
-    after that; a populated row is covered by vertex t of the top chain
-    and opens its own chain.
+    base, least label]; used-up ones are popped at each row.  An empty row
+    uses up vertex t of the top chain until that chain first covers, and
+    is free after that; a populated row is covered by vertex t of the top
+    chain and opens its own chain.
     """
     steps: list[tuple[int, int, int, int]] = []
     stack: list[list] = []
     base = 0  # the slot of the next row's vertex 1
+    ones = twos = 0
     for p, k in enumerate(code, start=1):
         while stack and stack[-1][1] > stack[-1][0]:
             stack.pop()
@@ -140,18 +148,23 @@ def _layout(code: LehmerCode) -> list[tuple[int, int, int, int]]:
             chain[1] = t + 1
             chain[2] = True
             steps.append((top, parent, 0, p))
+            label = chain[4] + 1
+            if label == 2:
+                twos += k
         else:
             steps.append((top, -1, 0, p))
+            label = 1
+            ones += k
         for s in range(top - 1, base - 1, -1):
             steps.append((s, s + 1, -1, p))
-        stack.append([k, 1, False, base])
+        stack.append([k, 1, False, base, label])
         base += k
-    return steps
+    return steps, ones, twos
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _forest_from_code_cached(code: LehmerCode) -> IndexedForest:
-    steps = _layout(code)
+    steps = _layout(code)[0]
     vertices = _code_cells(code)
     covers = sorted((vertices[p], vertices[s]) for s, p, start, _ in steps if start == 0 <= p)
     return IndexedForest(code, vertices, tuple(covers), tuple(steps))

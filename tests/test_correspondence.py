@@ -497,7 +497,7 @@ def check_labeling_sums(n):
     for w in all_permutations(n):
         forest = forest_from_code(lehmer_code(w))
         expected = Polynomial(Counter(map(monomial_of, valid_labelings(forest))))
-        steps = _layout(forest.code)
+        steps = _layout(forest.code)[0]
         assert packing.decode(_labeling_sum(steps, packing)) == expected, w
 
 
@@ -509,6 +509,32 @@ def test_labeling_sums_match_the_labelings():
 @pytest.mark.extended
 def test_labeling_sums_match_the_labelings_s7():
     check_labeling_sums(7)
+
+
+def least_labeling_rejections(n):
+    # the cut of _verify_unit, never taken for a w whose polynomials
+    # _same_polynomial finds equal; returns how many w it rejects
+    packing = correspondence._packing(n)
+    width = n * (n - 1) // 2 + 2  # D = n(n-1)/2 + 2
+    rejected = 0
+    for prefix in correspondence._units(n):
+        for w, code, terms in correspondence._sweep(prefix, n, packing):
+            steps, ones, twos = _layout(code)
+            if max(terms.values()) >> width * (ones * n + twos + 1):
+                counts = _labeling_sum(steps, packing)
+                assert not correspondence._same_polynomial(terms, counts, packing), w
+                rejected += 1
+    return rejected
+
+
+def test_least_labeling_cut_rejects_only_unequal_polynomials():
+    rejected = [least_labeling_rejections(n) for n in range(1, 7)]
+    assert rejected == [0, 0, 0, 2, 31, 332]
+
+
+@pytest.mark.extended
+def test_least_labeling_cut_rejects_only_unequal_polynomials_s7():
+    assert least_labeling_rejections(7) == 3181
 
 
 # --- exhaustive verification ----------------------------------------------------
@@ -580,6 +606,21 @@ def test_bulk_verify_builds_no_witness(monkeypatch):
     assert report.disagreements == report.badpair_disagreements == ()
 
 
+def test_bulk_verify_lists_no_labeling_the_cut_rejects(monkeypatch):
+    # 332 of the 446 negative verdicts of S_6 are settled by the least
+    # labeling's counts, before any labeling is listed
+    calls = []
+
+    def counting_sum(steps, packing):
+        calls.append(steps)
+        return _labeling_sum(steps, packing)
+
+    monkeypatch.setattr(correspondence, "_labeling_sum", counting_sum)
+    report = verify_theorem(6)
+    assert (report.total, report.expansion_positive) == (720, 274)
+    assert len(calls) == 720 - 332
+
+
 def test_unit_verdict_is_find_bad_pair_verdict():
     # the walk verify runs on a 1432-avoider stops exactly when
     # find_bad_pair names a witness, and every witness replays
@@ -589,7 +630,7 @@ def test_unit_verdict_is_find_bad_pair_verdict():
                 continue
             u = trim(w)
             code = trim_zeros(lehmer_code(u))
-            stopped = correspondence._search_bad_pair(code, _layout(code), len(u))
+            stopped = correspondence._search_bad_pair(code, _layout(code)[0], len(u))
             found = find_bad_pair(w)
             assert (stopped is not None) == (found is not None), w
             if found is not None:

@@ -243,7 +243,7 @@ def reference_labelings(forest, order):
 
 def check_layout(code, labelings=True):
     code = trim_zeros(code)
-    steps = _layout(code)
+    steps = _layout(code)[0]
     forest = forest_from_code(code)
     covers = reference_covers(code)
     assert forest.covers == tuple(sorted(covers))
@@ -273,6 +273,29 @@ def test_layout_matches_the_frame_stack_scan_s8():
 @given(codes(7, 4))
 def test_layout_matches_the_frame_stack_scan_on_any_code(code):
     check_layout(code, labelings=sum(code) <= 8)
+
+
+def check_least_labeling(code):
+    # the layout's counts of 1s and 2s in the least labeling are the lex
+    # greatest (x1, x2) exponents of the forest polynomial, and the counts
+    # of the first labeling listed
+    _, ones, twos = _layout(code)
+    forest = forest_from_code(code)
+    pairs = [(exps + (0, 0))[:2] for exps, _ in forest_polynomial(forest).items()]
+    assert max(pairs) == (ones, twos), code
+    first = valid_labelings(forest)[0]
+    assert (first.count(1), first.count(2)) == (ones, twos), code
+
+
+def test_least_labeling_counts_lead_the_forest_polynomial():
+    for n in range(1, 7):
+        for code in trimmed_codes(n):
+            check_least_labeling(code)
+
+
+@given(codes(6, 3))
+def test_least_labeling_counts_lead_on_any_code(code):
+    check_least_labeling(code)
 
 
 # --- labelings -------------------------------------------------------------------
@@ -330,9 +353,9 @@ def test_labeling_sum_refuses_weights_the_packing_cannot_hold():
         ((0, 1), _Packing(1, 3), _Packing(2, 1)),
     ]:
         with pytest.raises(RuntimeError, match="overflow the packing"):
-            _labeling_sum(_layout(code), narrow)
+            _labeling_sum(_layout(code)[0], narrow)
         expected = forest_polynomial(forest_from_code(code))
-        assert wide.decode(_labeling_sum(_layout(code), wide)) == expected
+        assert wide.decode(_labeling_sum(_layout(code)[0], wide)) == expected
 
 
 def reference_is_valid_labeling(forest, labeling):
