@@ -2,7 +2,8 @@
 
 Subcommands: schubert, forest, check, pipedreams, verify.  Exit codes:
 0 success / verdicts agree, 1 usage or parse errors, a reader that closed
-stdout early, a ``verify`` worker process that died or no memory left, 2 a
+stdout early, a standard output or error closed at start or not writable,
+a ``verify`` worker process that died or no memory left, 2 a
 verdict split (the pattern test and the polynomial test disagreeing) or an
 oracle mismatch.  ``--json`` keeps stdout machine-parseable; progress
 chatter for long verification runs goes to stderr.
@@ -11,6 +12,7 @@ chatter for long verification runs goes to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -301,6 +303,10 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if sys.stdout is None or sys.stderr is None:
+        # a standard stream was closed at start, so the command could not
+        # report; Python would send what goes to a closed stderr to stdout
+        return 1
     args = _build_parser().parse_args(argv)
     try:
         status = _COMMANDS[args.command](args)
@@ -318,6 +324,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the reader went away (``forestry ... | head``); point stdout at
         # devnull so the flush at interpreter exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        # a standard stream that cannot be written, as a closed stderr is
+        # when a wrapper script reopened its descriptor for reading
+        if exc.errno != errno.EBADF:
+            raise
         return 1
     return status
 

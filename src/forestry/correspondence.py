@@ -21,7 +21,9 @@ that identification:
   into one Kronecker int per x_3 .. x_n monomial; both pattern verdicts
   from one table of the avoiders of S_(n-1); and each forest from the
   one-pass code layout, whose counts of 1s and 2s in the least labeling
-  reject most negative verdicts before any labeling is listed.
+  reject most negative verdicts before any labeling is listed.  Its
+  bad-pair cross-check runs the walk in the frame of the run's n, and a
+  permutation is trimmed only when a disagreement lists it.
   With ``jobs`` > 1 it forks its worker processes itself: each child
   inherits n, the avoider table and the code, takes one unit at a time
   over a pipe and answers with one ``marshal`` record per unit, so no
@@ -62,7 +64,7 @@ from .permutations import (
 from .pipedreams import (
     Cell,
     PipeDream,
-    _moves,
+    _can_slide,
     _schubert_divdiff_terms,
     _slide_walk,
     _start,
@@ -122,23 +124,25 @@ class BadPair(NamedTuple):
 
 def replay_simple_moves(w: Permutation, moves) -> dict[Vertex, Cell]:
     """Slide the named crossings of the bottom pipe dream one step each, in
-    order, on the states of the order-0 walk; returns the final id -> cell
-    placement.  An id may be a list [r, t], as ``check --json`` prints it.
-    Raises ValueError when a slide is blocked or an id names no crossing."""
+    order, checking each slide in the order-0 walk's frame; returns the
+    final id -> cell placement.  An id may be a list [r, t], as ``check
+    --json`` prints it.  Raises ValueError when a slide is blocked or an id
+    names no crossing."""
     w = trim(w)
-    ids = _code_cells(lehmer_code(w))
+    code = trim_zeros(lehmer_code(w))
+    ids = _code_cells(code)
     pos: dict[Vertex, Cell] = {v: v for v in ids}
-    frame, state, occupied = _start(ids, len(w))
+    frame, _, _ = _start(code, len(w))
+    rows = [r for r, _ in ids]
     for moved in moves:
         key = tuple(moved) if isinstance(moved, list) else moved
         if key not in ids:  # a scan, not a hash: an unhashable value is no error
             raise ValueError(f"{moved} is not a crossing id of the bottom pipe dream of {w}")
         i = ids.index(key)
-        step = next((m for m in _moves(frame, state, occupied) if m[0] == i), None)
-        if step is None:
+        if not _can_slide(frame, rows, i):
             raise ValueError(f"simple move of {moved} not applicable at {pos[key]}")
-        _, row, state, occupied = step
-        pos[key] = (row - 1, sum(key) - row + 1)  # the slide keeps the letter
+        rows[i] -= 1
+        pos[key] = (rows[i], sum(key) - rows[i])  # the slide keeps the letter
     return pos
 
 
@@ -160,10 +164,13 @@ def find_bad_pair(w: Permutation) -> Optional[BadPair]:
 
 
 def _search_bad_pair(code, steps, n: int) -> Optional[tuple[list, dict, int]]:
-    """The walk of ``find_bad_pair`` on the trimmed ``code`` of a w of trimmed
-    length ``n``; ``steps`` are ``_layout(code)``'s.  None when no crossing
-    reaches its cover parent's row, else the cover parents by slot, the
-    walk's ``prev`` and its stop; ``verify`` only asks whether it is None."""
+    """The walk of ``find_bad_pair`` on the trimmed ``code`` of a w whose
+    trimmed length is at most ``n``: ``find_bad_pair`` passes that length,
+    ``verify`` the run's n, as a wider frame only adds empty spare slots.
+    ``steps`` are ``_layout(code)``'s.  None when no crossing reaches its
+    cover parent's row, else the cover parents by slot, the walk's ``prev``
+    and its stop, none of which depends on n; ``verify`` only asks whether
+    it is None."""
     parents = [-1] * sum(code)
     covered = False
     for s, parent, start, _ in steps:
@@ -171,7 +178,7 @@ def _search_bad_pair(code, steps, n: int) -> Optional[tuple[list, dict, int]]:
             parents[s], covered = parent, True
     if not covered:
         return None
-    prev, _, stop = _slide_walk(_code_cells(code), n, parents)
+    prev, _, stop = _slide_walk(code, n, parents)
     return None if stop is None else (parents, prev, stop)
 
 
@@ -204,8 +211,8 @@ class VerifyReport(NamedTuple):
 
 
 def _tallies() -> dict:
-    """A unit's counts before it has seen any permutation: the tally
-    fields of VerifyReport at their defaults."""
+    """A run's counts before it has merged any unit: the tally fields of
+    VerifyReport at their defaults, which ``_verify_unit`` returns too."""
     defaults = dict(VerifyReport._field_defaults)
     del defaults["elapsed_ms"]
     return defaults
@@ -352,10 +359,9 @@ def _verify_unit(prefix: Permutation, n: int, table: dict[bytes, int]) -> dict:
     """
     packing = _packing(n)
     width = _digit_bits(n)
-    out = _tallies()
+    total = pattern_positive = expansion_positive = badpair_checked = 0
     disagreements, badpair_disagreements = [], []
     for u, code, terms in _sweep(prefix, n, packing):
-        w = trim(u)
         steps, ones, twos = _layout(code)
         avoids = avoidance_bits(u, _PATTERN_SETS, table)
         by_pattern = avoids & 1 == 1
@@ -364,34 +370,39 @@ def _verify_unit(prefix: Permutation, n: int, table: dict[bytes, int]) -> dict:
         by_expansion = not above and _same_polynomial(
             terms, _labeling_sum(steps, packing), packing
         )
-        out["total"] += 1
-        out["pattern_positive"] += by_pattern
-        out["expansion_positive"] += by_expansion
+        total += 1
+        pattern_positive += by_pattern
+        expansion_positive += by_expansion
         if by_pattern != by_expansion:
             disagreements.append(
                 {
-                    "permutation": list(w),
+                    "permutation": list(trim(u)),
                     "pattern": by_pattern,
                     "expansion": by_expansion,
                 }
             )
         # every w that avoids 1432, which avoiding all six implies
         if avoids:
-            out["badpair_checked"] += 1
-            bad = _search_bad_pair(code, steps, len(w)) is not None
+            badpair_checked += 1
+            bad = _search_bad_pair(code, steps, n) is not None
             if bad == by_expansion:  # a bad pair must appear iff expansion fails
                 badpair_disagreements.append(
                     {
-                        "permutation": list(w),
+                        "permutation": list(trim(u)),
                         "bad_pair_found": bad,
                         "expansion_equal": by_expansion,
                     }
                 )
     # the sweep is depth-first; reports list permutations lexicographically
     by_perm = operator.itemgetter("permutation")
-    out["disagreements"] = tuple(sorted(disagreements, key=by_perm))
-    out["badpair_disagreements"] = tuple(sorted(badpair_disagreements, key=by_perm))
-    return out
+    return {
+        "total": total,
+        "pattern_positive": pattern_positive,
+        "expansion_positive": expansion_positive,
+        "disagreements": tuple(sorted(disagreements, key=by_perm)),
+        "badpair_checked": badpair_checked,
+        "badpair_disagreements": tuple(sorted(badpair_disagreements, key=by_perm)),
+    }
 
 
 def _usable_cpus() -> int:

@@ -27,11 +27,17 @@ of trimmed length n with k leading fixed points, cell (r, c) carries
 letter a = r + c - 1 and is bit (r - 1) * S + a - k - 1, S = n - k.
 Slot S - 1 of each row is a spare that stays empty, so a shift by one bit
 never carries a cell into the next row.  ``_transfer`` builds masks row by
-row; ``simple_closure`` takes the whole of ``_slide_walk``, the one order-0
-walk, and the bad-pair search in ``correspondence`` stops it at the first
-crossing level with its cover parent.  The walk's closure, the transfer
-and both of its folds certify what they return with explicit checks that
-raise RuntimeError.
+row.  ``_slide_walk``, the one order-0 walk, gets its frame, first state
+and first mask from ``_start``, one pass over the rows of the Lehmer code,
+and takes each state's slides from one ``_slides`` mask, with a bit test
+per crossing; that loop holds the one statement of the slide's update.
+``simple_closure`` takes the whole walk, and the bad-pair search in
+``correspondence`` stops it at the first crossing level with its cover
+parent; ``_can_slide`` checks a replayed move against the same frame.
+The walk may run in the frame of a larger n, a ``verify`` run's: that
+only widens the spare slots.  The walk's closure, the transfer and both
+of its folds certify what they return with explicit checks that raise
+RuntimeError.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import functools
 from itertools import compress
 from typing import Optional
 
-from .permutations import _CACHE_SIZE, Permutation, _code_cells, inverse, lehmer_code, trim
+from .permutations import _CACHE_SIZE, Permutation, inverse, lehmer_code, trim, trim_zeros
 from .polynomials import (
     Monomial,
     Polynomial,
@@ -62,15 +68,6 @@ __all__ = [
     "schubert_divdiff",
     "render",
 ]
-
-
-def _mask(cells, stride: int, k: int) -> int:
-    """Cells as one int in the frame of stride ``stride`` above ``k``
-    leading fixed points: (r, c) is bit (r - 1) * stride + r + c - k - 2."""
-    d = 0
-    for r, c in cells:
-        d |= 1 << (r - 1) * stride + r + c - k - 2
-    return d
 
 
 def _replay(d: int, line: list) -> Optional[tuple]:
@@ -101,57 +98,84 @@ def _slides(d: int, stride: int) -> int:
     return d & ~(d >> 1) & ~(d << stride) & ~(d << stride + 1) & -(1 << stride)
 
 
-def _start(cells, n: int) -> tuple[tuple, int, int]:
-    """``_slide_walk``'s frame, first state and mask.  The frame is the
-    stride (the first row of ``cells`` is k + 1), the mask of one field and,
-    per crossing, (slot, field shift, offset): a slide keeps the letter, so
-    the crossing's bit is row * stride + offset."""
-    k = cells[0][0] - 1 if cells else 0
-    stride, bits = n - k, cells[-1][0].bit_length() if cells else 0
-    crossings = [(i, i * bits, r + t - n - 2) for i, (r, t) in enumerate(cells)]
-    state = sum([r << i * bits for i, (r, _) in enumerate(cells)])
-    return (stride, (1 << bits) - 1, crossings), state, _mask(cells, stride, k)
+def _start(code, n: int) -> tuple[tuple, int, int]:
+    """``_slide_walk``'s frame, first state and mask, from one pass over
+    ``code``, the trimmed Lehmer code of a w whose trimmed length is at
+    most ``n``.  The frame is (stride, bits, offsets): the stride is n - k,
+    k the code's leading zeros; slot i of a state is the ``bits``-wide
+    field at i * bits, as wide as the last row, len(code), needs; and a
+    slide keeps the letter, so the crossing in slot i sits at bit
+    row * stride + offsets[i] of the mask.  An n above the trimmed length
+    only widens the spare slots, which stay empty."""
+    bits = len(code).bit_length()
+    field = (1 << bits) - 1
+    offsets: list[int] = []
+    stride, state, occupied, shift = n, 0, 0, 0
+    for r, c in enumerate(code, 1):
+        if not offsets:
+            stride = n + 1 - r  # row r is the first with a crossing when c > 0
+        if c:
+            offset = r - n - 1  # crossing t of row r has offset r + t - n - 2
+            offsets += range(offset, offset + c)
+            # r in each of the row's c fields: r times the repunit in base 2^bits
+            state |= r * ((1 << c * bits) - 1) // field << shift
+            occupied |= (1 << c) - 1 << r * stride + offset
+            shift += c * bits
+    return (stride, bits, offsets), state, occupied
 
 
-def _moves(frame: tuple, state: int, occupied: int):
-    """Yield (slot, row, next state, next mask) for each crossing of
-    ``state``, with mask ``occupied``, that can slide up from ``row``."""
-    stride, field, crossings = frame
-    slides = _slides(occupied, stride)
-    for i, shift, offset in crossings:
-        row = state >> shift & field
-        at = row * stride + offset
-        if slides >> at & 1:
-            yield i, row, state - (1 << shift), occupied ^ (1 << at) ^ (1 << at - stride)
-
-
-def _slide_walk(cells, n: int, parents) -> tuple[dict, list, Optional[int]]:
+def _slide_walk(code, n: int, parents) -> tuple[dict, list, Optional[int]]:
     """The one order-0 walk: breadth first over the id-tracked states of
-    the bottom dream, with crossings ``cells`` in ``_layout``'s slot order,
-    of a w of trimmed length ``n``.  A state is one int with a field per
-    crossing holding its row, which fixes its cell; rows only fall, from
-    at most the last row of ``cells``, which sizes the fields.
-    ``parents[i]`` is the slot of the cover parent of slot i, or -1.  A
-    slide can only bring the moved crossing level with its parent, so the
-    walk checks that one pair as it queues each state, and stops at the
-    first level one.  Returns ``prev`` (state -> the previous state and the
-    slot that moved, None at the start), the reached (state, mask) pairs in
-    queue order, and the stopping state, None when the closure is complete.
+    the bottom dream of the trimmed, nonempty Lehmer ``code``, in the
+    frame that ``_start`` builds for ``n``, the trimmed length of w or any
+    larger n (a run's).  A state is one int with a field per crossing, in
+    ``_layout``'s slot order, holding its row, which fixes its cell; rows
+    only fall, from at most len(code), which sizes the fields.
+    ``parents[i]`` is the slot of the cover parent of slot i, or -1.  Each
+    state takes one ``_slides`` mask, and a crossing slides when its bit
+    is set in it; a state with no slide is passed over, and so are the
+    crossings of row 1, which never slide.  A slide can only bring the
+    moved crossing level with its parent, so the walk checks that one pair
+    as it queues each state, and stops at the first level one.  Returns
+    ``prev`` (state -> the previous state and the slot that moved, None at
+    the start), the reached (state, mask) pairs in queue order, and the
+    stopping state, None when the closure is complete.  The states and
+    ``prev`` do not depend on n; the masks do.
     """
-    frame, state, occupied = _start(cells, n)
-    _, field, crossings = frame
+    (stride, bits, offsets), state, occupied = _start(code, n)
+    field = (1 << bits) - 1
     prev: dict[int, Optional[tuple[int, int]]] = {state: None}
     reached = [(state, occupied)]
+    first = code[0]  # the crossings of row 1
+    movable = offsets[first:]
     for state, occupied in reached:  # the list is the queue
-        for i, row, nxt, moved in _moves(frame, state, occupied):
+        slides = _slides(occupied, stride)
+        if not slides:
+            continue
+        for i, offset in enumerate(movable, first):
+            shift = i * bits
+            row = state >> shift & field
+            at = row * stride + offset
+            if not slides >> at & 1:
+                continue
+            nxt = state - (1 << shift)
             if nxt in prev:
                 continue
             prev[nxt] = (state, i)
             parent = parents[i]
-            if parent >= 0 and row - 1 <= nxt >> crossings[parent][1] & field:
+            if parent >= 0 and row - 1 <= nxt >> parent * bits & field:
                 return prev, reached, nxt
-            reached.append((nxt, moved))
+            reached.append((nxt, occupied ^ (1 << at) ^ (1 << at - stride)))
     return prev, reached, None
+
+
+def _can_slide(frame: tuple, rows: list, i: int) -> bool:
+    """Whether crossing ``i`` can take the simple slide when the crossings
+    of ``_start``'s ``frame`` sit in ``rows``, by slot: its bit in the
+    ``_slides`` mask of the dream they make."""
+    stride, _, offsets = frame
+    occupied = sum([1 << row * stride + offset for row, offset in zip(rows, offsets)])
+    return _slides(occupied, stride) >> rows[i] * stride + offsets[i] & 1 == 1
 
 
 def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:
@@ -347,9 +371,10 @@ def simple_closure(w: Permutation) -> frozenset:
     w = trim(w)
     if not w:
         return frozenset({frozenset()})
-    bottom = _code_cells(lehmer_code(w))
-    n, k, n_inv = len(w), bottom[0][0] - 1, len(bottom)  # the first row is k + 1
-    _, reached, _ = _slide_walk(bottom, n, [-1] * n_inv)
+    code = trim_zeros(lehmer_code(w))
+    n, n_inv = len(w), sum(code)
+    k = next(i for i, v in enumerate(w) if v != i + 1)
+    _, reached, _ = _slide_walk(code, n, [-1] * n_inv)
     spare = sum(1 << r * (n - k) - 1 for r in range(1, n))
     for _, d in reached:
         if d & spare:

@@ -412,6 +412,17 @@ def test_verify_worker_out_of_memory_exits_1(capsys, monkeypatch):
     ]
 
 
+def test_verify_with_an_unwritable_stderr_exits_1(monkeypatch):
+    # a stderr whose descriptor is open for reading only, as a wrapper
+    # script can leave a closed one: the first progress line fails with
+    # EBADF, and the run stops with exit 1 instead of a traceback
+    raw = open(os.open(os.devnull, os.O_RDONLY), "wb", buffering=0)
+    # unbuffered, so no failed line is left to fail again on close
+    with io.TextIOWrapper(raw, write_through=True) as unwritable:
+        monkeypatch.setattr("sys.stderr", unwritable)
+        assert main(["verify", "4"]) == 1
+
+
 # --- dispatch --------------------------------------------------------------------
 
 

@@ -298,6 +298,36 @@ def test_bad_pairs_match_the_tuple_search_s7():
     check_bad_pairs(7)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(7, 8).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple))
+def test_bad_pairs_match_the_tuple_search_in_s7_and_s8(w):
+    # a sample past S_6, untrimmed as verify sweeps it: the witness is the
+    # tuple search's, and the walk verify runs, at the run's n, stops
+    # exactly when there is one
+    assume(not contains_pattern(w, PATTERN_1432))
+    found = find_bad_pair(w)
+    expected = reference_bad_pair(w)
+    assert (None if found is None else (found.parent, found.child, found.moves)) == expected
+    code = trim_zeros(lehmer_code(w))
+    stopped = correspondence._search_bad_pair(code, _layout(code)[0], len(w))
+    assert (stopped is None) == (expected is None)
+
+
+def test_the_walk_at_a_runs_n_stops_where_find_bad_pair_does():
+    # verify walks every w of S_n in the frame of n; find_bad_pair walks w
+    # in the frame of its trimmed length.  A wider frame adds only empty
+    # spare slots, so the parents, prev and the stop are the same
+    for m in range(1, 8):
+        for w in all_permutations(m):
+            if contains_pattern(w, PATTERN_1432):
+                continue
+            code = trim_zeros(lehmer_code(w))
+            steps = _layout(code)[0]
+            trimmed = correspondence._search_bad_pair(code, steps, len(trim(w)))
+            for n in (m, m + 3):
+                assert correspondence._search_bad_pair(code, steps, n) == trimmed, (w, n)
+
+
 # --- the two verdicts --------------------------------------------------------
 
 
@@ -822,7 +852,10 @@ def test_report_and_witness_refuse_assignment():
     for obj, name in ((report, "total"), (bad, "moves")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0)
-    # a unit starts from the tally fields' defaults
+    # a run starts from the tally fields' defaults, and a unit returns
+    # the same fields
+    unit = correspondence._verify_unit((1,), 1, {})
+    assert list(unit) == list(correspondence._tallies())
     assert correspondence._tallies() == {
         "total": 0,
         "pattern_positive": 0,

@@ -127,13 +127,19 @@ def frame(w):
     return len(w), next((i for i, v in enumerate(w) if v != i + 1), 0)
 
 
+def frame_mask(cells, stride, k):
+    # the module's frame as its docstring states it: (r, c), letter
+    # a = r + c - 1, is bit (r - 1) * stride + a - k - 1
+    return sum(1 << (r - 1) * stride + r + c - k - 2 for r, c in cells)
+
+
 def check_slides_match_the_scan(cells, width, k):
     # the crossings of the one mask of _slides, in the frame of stride
     # width - k above k leading fixed points, are the scan's order-0 moves
     slides = [cell for cell, (order, _) in moves_of(cells, width).items() if order == 0]
     stride = width - k
-    d = pipedreams._mask(cells, stride, k)
-    assert pipedreams._slides(d, stride) == pipedreams._mask(slides, stride, k), sorted(cells)
+    d = frame_mask(cells, stride, k)
+    assert pipedreams._slides(d, stride) == frame_mask(slides, stride, k), sorted(cells)
 
 
 def test_whole_mask_moves_match_the_per_cell_scan():
@@ -143,6 +149,38 @@ def test_whole_mask_moves_match_the_per_cell_scan():
             n, k = frame(w)
             for dream in all_pipe_dreams(w):
                 check_slides_match_the_scan(dream, n, k)
+
+
+def decode_start(code, n):
+    # _start's frame, state and mask for the code at n, with each crossing's
+    # field and bit decoded to its cell through the documented frame
+    (stride, bits, offsets), state, occupied = pipedreams._start(code, n)
+    k = n - stride
+    cells = []
+    for i, offset in enumerate(offsets):
+        row = state >> i * bits & (1 << bits) - 1
+        at = row * stride + offset
+        cells.append((row, at - (row - 1) * stride + k + 2 - row))
+    return (stride, bits), state, occupied, cells
+
+
+def test_start_decodes_to_the_bottom_dream():
+    # one pass over the code gives the frame of w: the stride n - k, fields
+    # just wide enough for the last row, one field per crossing in slot
+    # order, and rows and offsets that decode to the bottom dream's cells;
+    # a larger n widens only the spare slots
+    for m in range(1, 8):
+        for w in all_permutations(m):
+            n, k = frame(w)
+            code = trim_zeros(lehmer_code(w))
+            bottom = sorted(reference_bottom(w))
+            for size in (n, m, m + 2):
+                (stride, bits), state, occupied, cells = decode_start(code, size)
+                assert cells == bottom, (w, size)
+                assert stride == size - k, (w, size)
+                assert len(code) < 1 << bits <= max(2 * len(code), 1), w
+                assert state >> len(bottom) * bits == 0, w
+                assert occupied == frame_mask(cells, stride, k), (w, size)
 
 
 @st.composite
@@ -236,9 +274,9 @@ def test_closure_certifies_every_mask(monkeypatch, extra, message):
     # the walk reports one more state, whose mask is made from the last one
     walk = pipedreams._slide_walk
 
-    def one_more(cells, n, parents):
-        prev, reached, stop = walk(cells, n, parents)
-        stride = n + 1 - cells[0][0]  # n - k: the first row is k + 1
+    def one_more(code, n, parents):
+        prev, reached, stop = walk(code, n, parents)
+        stride = n - next(i for i, c in enumerate(code) if c)  # n - k
         return prev, [*reached, (-1, extra(reached[-1][1], stride))], stop
 
     monkeypatch.setattr(pipedreams, "_slide_walk", one_more)

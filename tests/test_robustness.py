@@ -125,6 +125,43 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
+def close_fd(fd):
+    # run in the child before exec: the command starts with fd closed
+    return lambda: os.close(fd)
+
+
+def read_only_fd(fd):
+    # run in the child before exec: fd open, but for reading only, as a
+    # wrapper script that opened a file on a closed stderr leaves it
+    return lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
+
+
+@pytest.mark.parametrize(
+    "argv", [("schubert", "21"), ("check", "1432"), ("verify", "5", "--jobs", "2")]
+)
+def test_stdout_closed_at_start_exits_quietly(argv):
+    # Python starts with sys.stdout None; the command cannot report, so it
+    # stops with exit 1 and no traceback
+    proc = cli(*argv, stderr=subprocess.PIPE, preexec_fn=close_fd(1))
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+    assert err == b""
+
+
+@pytest.mark.parametrize("opened", [close_fd(2), read_only_fd(2)], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv", [("verify", "4"), ("verify", "5", "--jobs", "2", "--json")])
+def test_stderr_closed_at_start_exits_quietly(argv, opened):
+    # progress lines cannot be written: with fd 2 closed, Python would send
+    # them to stdout, and a read-only fd 2 fails with EBADF; either way the
+    # command stops with exit 1, and stdout gets neither report nor traceback
+    proc = cli(*argv, stdout=subprocess.PIPE, preexec_fn=opened)
+    out, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in out
+    assert out == b""
+
+
 def test_serial_verify_loads_no_pool_and_no_dataclasses():
     # start-up cost: no run may import the process pool (and the
     # multiprocessing, pickle and socket modules behind it) or dataclasses

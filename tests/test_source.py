@@ -108,10 +108,41 @@ def modules_naming(names):
 def test_only_pipedreams_names_the_mask_frame():
     # a dream mask's bit layout is known to one module: no other module of
     # the package names the helpers that read or write it
-    frame = {"_mask", "_slides", "_replay"}
+    frame = {"_slides", "_replay"}
     named = modules_naming(frame)
     assert named.pop("pipedreams.py") == frame
     assert {name: found for name, found in named.items() if found} == {}
+
+
+def moves_a_bit_up_a_row(node):
+    # an xor with 1 << (x - stride): a mask bit flipped one row of the frame
+    # above another, the mask half of a simple slide
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitXor)
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.LShift)
+        and isinstance(node.right.right, ast.BinOp)
+        and isinstance(node.right.right.op, ast.Sub)
+        and isinstance(node.right.right.right, ast.Name)
+        and node.right.right.right.id == "stride"
+    )
+
+
+def test_the_slide_update_is_written_once():
+    # the simple slide's update, a state field lowered and the mask bit
+    # moved up a row, has one statement in the package: inside the order-0
+    # walk; the replay of named moves checks each against _slides in the
+    # walk's frame instead of updating a mask
+    found = sorted(
+        (path.name, func.name, ast.unparse(node))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if moves_a_bit_up_a_row(node)
+    )
+    assert found == [("pipedreams.py", "_slide_walk", "occupied ^ 1 << at ^ 1 << at - stride")]
 
 
 def test_only_polynomials_names_the_intern_table():
