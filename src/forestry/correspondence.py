@@ -18,17 +18,20 @@ that identification:
   polynomial-equality test give the same verdict.  In bulk it gets each
   Schubert polynomial from a neighbour by one divided difference instead of
   a pipe-dream sum, with x_1 and x_2, which no d_i of a unit moves, frozen
-  into one Kronecker int per x_3 .. x_n monomial; both pattern verdicts
-  from one table of the avoiders of S_(n-1); and each forest from the
+  into one Kronecker int per x_3 .. x_n monomial.  Every unit walks the
+  same tree of divided differences, which depends only on the order of
+  positions 3 .. n, so the run lists it once, as the plan of ``_plan``,
+  and each unit applies it to its own top.  It takes both pattern verdicts
+  from one table of the avoiders of S_(n-1), and each forest from the
   one-pass code layout, whose counts of 1s and 2s in the least labeling
   reject most negative verdicts before any labeling is listed.  Its
   bad-pair cross-check runs the walk in the frame of the run's n, and a
   permutation is trimmed only when a disagreement lists it.
   With ``jobs`` > 1 it forks its worker processes itself: each child
-  inherits n, the avoider table and the code, takes one unit at a time
-  over a pipe and answers with one ``marshal`` record per unit, so no
-  run imports ``concurrent.futures`` or ``multiprocessing`` and nothing is
-  pickled.
+  inherits n, the avoider table, the plan and the code, takes one unit
+  at a time over a pipe and answers with one ``marshal`` record per unit,
+  so no run imports ``concurrent.futures`` or ``multiprocessing`` and
+  nothing is pickled.
 """
 
 from __future__ import annotations
@@ -276,60 +279,96 @@ def _same_polynomial(frozen: dict[int, int], counts: dict[int, int], packing: _P
     return frozen == _freeze(counts, packing)
 
 
-def _sweep(prefix: Permutation, n: int, packing: _Packing):
+def _plan(n: int) -> list[tuple]:
+    """The sweep plan of a run over S_n, built once and shared by every
+    unit: the depth-first walk of ``_sweep`` on the suffix alone.
+
+    The walk's tree in unit (p_1, p_2) depends only on the relative order
+    of positions 3 .. n: so does each node's first ascent i >= 3, its code
+    entries c_3 .. c_n and its lead key over x_3 .. x_n.  So the plan walks
+    the standardized suffix, a permutation of 1 .. n - 2, down from the
+    decreasing one, and lists the nodes in the order ``_sweep`` visits
+    them, each as (depth, i, suffix as bytes, trimmed code of the suffix,
+    lead key), with i the d_i that reaches the node from its parent (0 at
+    the top, depth 0).  With f the first ascent >= 3 of u (n if none),
+    w = u s_i has first ascent i for each i < f, and for i = f + 1 when
+    u(f+1) > u(f+2) < u(f); for no other i.  The code is carried down the
+    walk: as u(i) > u(i+1), entries i and i+1 of the code of w are those
+    of u, exchanged, the first one less; the lead key moves with them.
+    n = 1 and n = 2 have the one-entry plan of an empty suffix.
+    """
+    units = _packing(n).units
+    top = tuple(range(n - 2, 0, -1))
+    code = lehmer_code(top)
+    lead = sum(c * units[j] for j, c in enumerate(code, 3))
+    plan = []
+    stack = [(0, 0, top, code, lead)]
+    while stack:
+        depth, i, u, code, lead = stack.pop()
+        plan.append((depth, i, bytes(u), trim_zeros(code), lead))
+        # position j of the run is index j - 3 of the suffix
+        f = 3
+        while f < n and u[f - 3] > u[f - 2]:
+            f += 1
+        children = list(range(3, f))
+        if f + 1 < n and u[f - 3] > u[f - 1] < u[f - 2]:
+            children.append(f + 1)
+        for i in children:
+            a, b = code[i - 3], code[i - 2]
+            w = u[: i - 3] + (u[i - 2], u[i - 3]) + u[i - 1 :]
+            c = code[: i - 3] + (b, a - 1) + code[i - 1 :]
+            key = lead + (b - a) * units[i] + (a - 1 - b) * units[i + 1]
+            stack.append((depth + 1, i, w, c, key))
+    return plan
+
+
+def _sweep(prefix: Permutation, n: int, packing: _Packing, plan: list[tuple]):
     """Yield (w, trimmed Lehmer code of w, Schubert polynomial of w in the
     ``_freeze`` form of ``packing``) for every w in S_n (untrimmed) that
-    starts with ``prefix``.
+    starts with ``prefix``, in the order of ``plan``, ``_plan(n)``.
 
     The top of the unit, the prefix followed by the other values in
     decreasing order, comes from ``_schubert_divdiff_terms`` and is frozen
     once.  Every other w has a first ascent i >= 3 and its polynomial is the
-    divided difference d_i of the polynomial of u = w s_i, which has one
-    inversion more and the same prefix; so a depth-first walk down from the
-    top reaches each w once.  d_i with i >= 3 is linear over Z[x_1, x_2],
-    so it runs on the frozen form as on packed terms, adding values.  The
-    code is carried down the walk: as u(i) > u(i+1), entries i and i+1 of
-    the code of w are those of u, exchanged, the first one less.
+    divided difference d_i of the polynomial of its parent u = w s_i in
+    the plan, which has one inversion more and the same prefix; a level
+    list holds the polynomial of the current node's ancestors, one per
+    depth.  d_i with i >= 3 is linear over Z[x_1, x_2], so it runs on the
+    frozen form as on packed terms, adding values.  A plan entry becomes
+    the unit's: w is the prefix's bytes and one ``bytes.translate`` of the
+    suffix onto the unit's other values, and its code is (c_1, c_2) and
+    the suffix's.
 
     Each w must lead with x^code and coefficient 1, or the sweep raises
     RuntimeError.  c_1 and c_2 are fixed in the unit, so the leading digit
-    s_0 is; the key of x^code is carried down with the code.  The lead
+    s_0 is; the lead key over x_3 .. x_n comes from the plan.  The lead
     key's value has digit s_0 equal to 1, no value has a set bit below
-    digit s_0, and no key below the lead key has a nonzero digit s_0.
+    digit s_0, and no key below the lead key has a nonzero digit s_0: one
+    mask per key, digit s_0 and the bits below it for a key below the
+    lead, the bits below it for the others.
     """
-    rest = sorted(set(range(1, n + 1)) - set(prefix), reverse=True)
-    top = tuple(prefix) + tuple(rest)
-    code = lehmer_code(top)
-    ((lead, one),) = _freeze({packing.pack(code): 1}, packing).items()
+    rest = sorted(set(range(1, n + 1)) - set(prefix))
+    top = tuple(prefix) + tuple(reversed(rest))
+    head = lehmer_code(top)[: len(prefix)]  # (c_1, c_2); (c_1,) for n = 1
+    ((_, one),) = _freeze({packing.pack(head): 1}, packing).items()
     shift, below = one.bit_length() - 1, one - 1
     digit = (1 << _digit_bits(n)) - 1
-    units = packing.units
+    through = digit << shift | below  # digit s_0 and every bit below it
+    values = bytes.maketrans(bytes(range(1, len(rest) + 1)), bytes(rest))
+    start, bare = bytes(prefix), trim_zeros(head)
     # a top with no digit for some term fails the check as {} does
     frozen = _freeze(_schubert_divdiff_terms(top, packing), packing) or {}
-    stack = [(top, code, lead, frozen)]
-    while stack:
-        u, code, lead, terms = stack.pop()
+    levels: list[dict[int, int]] = []
+    for depth, i, suffix, code, lead in plan:
+        terms = _divided_difference(levels[depth - 1], i, packing) if depth else frozen
+        levels[depth:] = (terms,)
+        w = tuple(start + suffix.translate(values))
         if terms.get(lead, 0) >> shift & digit != 1:
-            raise RuntimeError(f"divided-difference sweep went wrong at {u}")
+            raise RuntimeError(f"divided-difference sweep went wrong at {w}")
         for key, value in terms.items():
-            if value & below or key < lead and value >> shift & digit:
-                raise RuntimeError(f"divided-difference sweep went wrong at {u}")
-        yield u, trim_zeros(code), terms
-        # with f the first ascent >= 3 of u (n if none), w = u s_i has
-        # first ascent i for each i < f, and for i = f + 1 when
-        # u(f+1) > u(f+2) < u(f); for no other i
-        f = 3
-        while f < n and u[f - 1] > u[f]:
-            f += 1
-        children = list(range(3, f))
-        if f + 1 < n and u[f - 1] > u[f + 1] < u[f]:
-            children.append(f + 1)
-        for i in children:
-            a, b = code[i - 1], code[i]
-            w = u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
-            c = code[: i - 1] + (b, a - 1) + code[i + 1 :]
-            key = lead + (b - a) * units[i] + (a - 1 - b) * units[i + 1]
-            stack.append((w, c, key, _divided_difference(terms, i, packing)))
+            if value & (through if key < lead else below):
+                raise RuntimeError(f"divided-difference sweep went wrong at {w}")
+        yield w, head + code if code else bare, terms
 
 
 # bit 0 of a pattern verdict: w avoids the six patterns; bit 1: w avoids
@@ -337,9 +376,12 @@ def _sweep(prefix: Permutation, n: int, packing: _Packing):
 _PATTERN_SETS = (tuple(map(bytes, FORBIDDEN_PATTERNS)), (bytes(PATTERN_1432),))
 
 
-def _verify_unit(prefix: Permutation, n: int, table: dict[bytes, int]) -> dict:
+def _verify_unit(
+    prefix: Permutation, n: int, table: dict[bytes, int], plan: list[tuple]
+) -> dict:
     """Counts and disagreements over the permutations starting with
-    ``prefix``; ``table`` is ``avoider_table(_PATTERN_SETS, n - 1)``.
+    ``prefix``; ``table`` is ``avoider_table(_PATTERN_SETS, n - 1)`` and
+    ``plan`` is ``_plan(n)``, both built once per run.
 
     A test that can only reject runs before the labelings are listed.  Let
     a and b be the numbers of 1s and 2s in the least labeling L of the
@@ -361,7 +403,7 @@ def _verify_unit(prefix: Permutation, n: int, table: dict[bytes, int]) -> dict:
     width = _digit_bits(n)
     total = pattern_positive = expansion_positive = badpair_checked = 0
     disagreements, badpair_disagreements = [], []
-    for u, code, terms in _sweep(prefix, n, packing):
+    for u, code, terms in _sweep(prefix, n, packing, plan):
         steps, ones, twos = _layout(code)
         avoids = avoidance_bits(u, _PATTERN_SETS, table)
         by_pattern = avoids & 1 == 1
@@ -543,8 +585,8 @@ def verify_theorem(
     up to ``jobs`` forked processes (None: one per usable CPU), merged in
     order; ``progress(done, total)`` fires after each unit.
     Schubert polynomials come from the divided-difference sweep, and
-    pattern verdicts from a table of the avoiders of S_(n-1) built once per
-    run.  Raises ``ValueError`` for n or ``jobs`` below 1, and
+    pattern verdicts from a table of the avoiders of S_(n-1); the table
+    and the sweep plan are built once per run, before any fork.  Raises ``ValueError`` for n or ``jobs`` below 1, and
     ``WorkerDied`` when a worker process dies.
     """
     if n < 1:
@@ -554,6 +596,7 @@ def verify_theorem(
     started = time.monotonic()
     total = math.factorial(n)
     table = avoider_table(_PATTERN_SETS, n - 1)
+    plan = _plan(n)
     merged = _tallies()
 
     def absorb(unit_result: dict) -> None:
@@ -563,7 +606,7 @@ def verify_theorem(
             progress(merged["total"], total)
 
     def work(prefix: Permutation) -> dict:
-        return _verify_unit(prefix, n, table)
+        return _verify_unit(prefix, n, table, plan)
 
     units = _units(n)
     jobs = _worker_count(jobs, len(units))

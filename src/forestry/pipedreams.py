@@ -35,9 +35,10 @@ per crossing; that loop holds the one statement of the slide's update.
 ``correspondence`` stops it at the first crossing level with its cover
 parent; ``_can_slide`` checks a replayed move against the same frame.
 The walk may run in the frame of a larger n, a ``verify`` run's: that
-only widens the spare slots.  The walk's closure, the transfer and both
-of its folds certify what they return with explicit checks that raise
-RuntimeError.
+only widens the spare slots; ``_start`` refuses an n below some row's
+r + code(r), which would leave that row no spare slot.  The walk's
+closure, the transfer and both of its folds certify what they return
+with explicit checks that raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -106,7 +107,9 @@ def _start(code, n: int) -> tuple[tuple, int, int]:
     field at i * bits, as wide as the last row, len(code), needs; and a
     slide keeps the letter, so the crossing in slot i sits at bit
     row * stride + offsets[i] of the mask.  An n above the trimmed length
-    only widens the spare slots, which stay empty."""
+    only widens the spare slots, which stay empty.  A frame too narrow for
+    some row, n < r + code[r - 1], would leave that row no spare slot and
+    raises RuntimeError."""
     bits = len(code).bit_length()
     field = (1 << bits) - 1
     offsets: list[int] = []
@@ -115,6 +118,8 @@ def _start(code, n: int) -> tuple[tuple, int, int]:
         if not offsets:
             stride = n + 1 - r  # row r is the first with a crossing when c > 0
         if c:
+            if r + c > n:
+                raise RuntimeError(f"a frame for n = {n} is too narrow for row {r} of {code}")
             offset = r - n - 1  # crossing t of row r has offset r + t - n - 2
             offsets += range(offset, offset + c)
             # r in each of the row's c fields: r times the repunit in base 2^bits

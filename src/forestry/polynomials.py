@@ -15,7 +15,9 @@ Hot loops (the divided-difference sweep, labeling sums, pipe-dream weight
 sums) work on monomials packed into ints instead (``_Packing``) and decode
 once at the end, through one interned table per field layout.  The sweep of
 bulk ``verify`` never decodes: it also freezes x1 and x2 into its values
-(see ``correspondence``).
+(see ``correspondence``).  One divided-difference kernel serves the sweep
+and the Schubert oracle alike; it reads the offsets of each step from a
+table of the same per-layout entry, filled as keys meet it.
 """
 
 from __future__ import annotations
@@ -229,11 +231,13 @@ def _raw(terms: dict[Monomial, int]) -> Polynomial:
     return p
 
 
-# one table per field layout (nvars, bits): packed key -> trimmed exponent
-# tuple, so every decode of one monomial returns one tuple object.  A
-# layout's table is emptied before it would pass _INTERN_LIMIT entries; S_8
-# has at most 8! monomials under the staircase and never reaches it.
-_INTERNED: dict[tuple[int, int], dict[int, Monomial]] = {}
+# one entry per field layout (nvars, bits), shared by every _Packing of
+# that layout: its decode table, packed key -> trimmed exponent tuple, so
+# every decode of one monomial returns one tuple object, and its ∂ tables
+# (see _divided_difference).  A layout's decode table is emptied before it
+# would pass _INTERN_LIMIT entries; S_8 has at most 8! monomials under the
+# staircase and never reaches it.
+_INTERNED: dict[tuple[int, int], tuple[dict[int, Monomial], list]] = {}
 _INTERN_LIMIT = 1 << 16
 
 
@@ -249,7 +253,7 @@ class _Packing:
     largest total degree they reach.
     """
 
-    __slots__ = ("nvars", "bits", "mask", "units", "interned")
+    __slots__ = ("nvars", "bits", "mask", "units", "interned", "divdiffs")
 
     def __init__(self, nvars: int, max_exponent: int):
         self.nvars = nvars
@@ -259,7 +263,9 @@ class _Packing:
         self.units = (0,) + tuple(
             1 << self.bits * (nvars - i) for i in range(1, nvars + 1)
         )
-        self.interned = _INTERNED.setdefault((nvars, self.bits), {})
+        self.interned, self.divdiffs = _INTERNED.setdefault(
+            (nvars, self.bits), ({}, [None] * nvars)
+        )
 
     def pack(self, exps: Sequence[int]) -> int:
         """The key of the monomial with exponents ``exps``."""
@@ -306,27 +312,42 @@ def _divided_difference(
     """d_i of packed ``terms`` (i < packing.nvars), term by term: for a > b,
     x_i^a x_{i+1}^b maps to the sum over k < a - b of x_i^(a-1-k) x_{i+1}^(b+k);
     equal exponents map to 0; a < b is the negated sum with a and b
-    exchanged.  No exponent grows, so every key stays in its fields."""
+    exchanged.  No exponent grows, so every key stays in its fields.
+
+    The new keys are the old one plus offsets that depend on the layout, i
+    and a - b alone, so each key reads a - b from its two fields and looks
+    up (negate, offsets) in the layout's table for i, indexed by a - b: a
+    list of 2 * mask + 1 slots, where a negative index is the a < b case.
+    A table is made on the first d_i of its layout, and each entry on the
+    first key that meets it, so a wide layout holds only the entries its
+    keys reach, not all mask^2 offsets."""
     lo = packing.bits * (packing.nvars - i - 1)
     hi = lo + packing.bits
     mask = packing.mask
-    unit = 1 << hi
-    step = unit - (1 << lo)  # moves one degree from x_i to x_{i+1}
+    table = packing.divdiffs[i]
+    if table is None:
+        table = packing.divdiffs[i] = [None] * (2 * mask + 1)
     out: dict[int, int] = {}
     for key, coeff in terms.items():
-        a = key >> hi & mask
-        b = key >> lo & mask
-        if a == b:
+        d = (key >> hi & mask) - (key >> lo & mask)
+        if not d:
             continue
-        if a < b:
-            key += (b - a) * step
-            a, b, coeff = b, a, -coeff
-        key -= unit
-        for _ in range(a - b):
-            new = out.get(key, 0) + coeff
-            if new:
-                out[key] = new
+        entry = table[d]
+        if entry is None:
+            unit = 1 << hi
+            step = unit - (1 << lo)  # moves one degree from x_i to x_{i+1}
+            # a < b: exchange the exponents first, then negate
+            start = (-d * step if d < 0 else 0) - unit
+            entry = table[d] = (d < 0, tuple(range(start, start - abs(d) * step, -step)))
+        negate, offsets = entry
+        if negate:
+            coeff = -coeff
+        for offset in offsets:
+            new_key = key + offset
+            if new_key not in out:
+                out[new_key] = coeff
+            elif new := out[new_key] + coeff:
+                out[new_key] = new
             else:
-                del out[key]
-            key -= step
+                del out[new_key]
     return out

@@ -1,7 +1,8 @@
 """The one test-side copy of each shared helper: hypothesis generators, the
 grid layout of the references, the labeling weight, the one-point deletion,
-the bottom dream and the reading of a cell set, and the per-cell
-Bergeron-Billey ladder scan with the closure it generates.  None of them
+the bottom dream and the reading of a cell set, the per-cell
+Bergeron-Billey ladder scan with the closure it generates, and the
+termwise divided difference.  None of them
 reads the package's mask frame or its cell list.  Not a test module; test
 modules import from it."""
 
@@ -110,3 +111,20 @@ def reference_closure(w, max_order=None):
                     seen.add(moved)
                     stack.append(moved)
     return seen
+
+
+def reference_divided_difference(p, i):
+    """d_i of the Polynomial p, one term at a time: the monomial
+    x_i^a x_(i+1)^b m (m free of both) is m x_i^b x_(i+1)^b times
+    (x_i^(a-b) - x_(i+1)^(a-b)) / (x_i - x_(i+1)), which is the sum of the
+    monomials of degree a - b - 1 in x_i and x_(i+1), for a > b; for a < b
+    the same with a and b exchanged, negated; 0 for a = b."""
+    out = {}
+    for exps, coeff in p.items():
+        padded = list(exps) + [0] * max(0, i + 1 - len(exps))
+        a, b = padded[i - 1], padded[i]
+        low, sign = min(a, b), 1 if a > b else -1
+        for k in range(abs(a - b)):
+            padded[i - 1], padded[i] = low + k, low + abs(a - b) - 1 - k
+            out[tuple(padded)] = out.get(tuple(padded), 0) + sign * coeff
+    return Polynomial(out)

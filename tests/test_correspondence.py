@@ -35,6 +35,7 @@ from forestry.permutations import (
     all_permutations,
     avoids_forbidden,
     contains_pattern,
+    inversions,
     lehmer_code,
     trim,
     trim_zeros,
@@ -371,7 +372,7 @@ def check_sweep(n):
     packing = correspondence._packing(n)
     found = []
     for prefix in correspondence._units(n):
-        for w, _, terms in correspondence._sweep(prefix, n, packing):
+        for w, _, terms in correspondence._sweep(prefix, n, packing, correspondence._plan(n)):
             assert packing.decode(thaw(terms, packing)) == schubert(w), w
             found.append(w)
     assert sorted(found) == list(all_permutations(n))
@@ -391,7 +392,7 @@ def test_sweep_carries_the_code():
     for n in range(1, 8):
         packing = correspondence._packing(n)
         for prefix in correspondence._units(n):
-            for w, code, _ in correspondence._sweep(prefix, n, packing):
+            for w, code, _ in correspondence._sweep(prefix, n, packing, correspondence._plan(n)):
                 assert code == trim_zeros(lehmer_code(w)), w
 
 
@@ -418,8 +419,56 @@ def test_sweep_children_match_the_first_ascent_rule():
     for n in range(1, 8):
         packing = correspondence._packing(n)
         for prefix in correspondence._units(n):
-            walked = [w for w, _, _ in correspondence._sweep(prefix, n, packing)]
+            walked = [w for w, _, _ in correspondence._sweep(prefix, n, packing, correspondence._plan(n))]
             assert walked == reference_sweep(prefix, n), prefix
+
+
+def test_plan_instantiates_to_every_unit():
+    # the plan of S_n, applied to each prefix by this test's own reading:
+    # the suffix's value v becomes the v-th least value the prefix leaves;
+    # each entry's w, depth, code and lead key over x3 .. xn are those of
+    # the reference walk, and its parent, the last entry one level up, is
+    # w s_i
+    for n in range(3, 8):
+        plan = correspondence._plan(n)
+        packing = correspondence._packing(n)
+        for prefix in correspondence._units(n):
+            rest = sorted(set(range(1, n + 1)) - set(prefix))
+            walked = [prefix + tuple(rest[v - 1] for v in entry[2]) for entry in plan]
+            assert walked == reference_sweep(prefix, n), prefix
+            top = inversions(walked[0])
+            for k, ((depth, i, _, code, lead), w) in enumerate(zip(plan, walked)):
+                full = lehmer_code(w)
+                assert depth == top - inversions(w), w
+                assert trim_zeros(full[:2] + code) == trim_zeros(full), w
+                assert lead == packing.pack((0, 0) + full[2:]), w
+                if depth:
+                    parent = next(u for (d, *_), u in zip(plan[k::-1], walked[k::-1]) if d < depth)
+                    assert parent == w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :], w
+
+
+def test_plan_of_a_short_run_has_one_entry():
+    for n in (1, 2):
+        assert correspondence._plan(n) == [(0, 0, b"", (), 0)]
+
+
+def test_a_run_builds_one_plan(monkeypatch, tmp_path):
+    # serial or forked, the plan is built once per run, before any fork:
+    # every build writes its process id to a file the workers share
+    real, builds = correspondence._plan, tmp_path / "builds"
+
+    def counted(n):
+        with open(builds, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return real(n)
+
+    monkeypatch.setattr(correspondence, "_plan", counted)
+    monkeypatch.setattr(correspondence, "_usable_cpus", lambda: 2)
+    for jobs in (1, 2):
+        builds.write_text("")
+        report = verify_theorem(6, jobs=jobs)
+        assert (report.total, report.expansion_positive) == (720, 274)
+        assert builds.read_text().split() == [str(os.getpid())]
 
 
 def test_sweep_checks_leading_terms(monkeypatch):
@@ -428,7 +477,7 @@ def test_sweep_checks_leading_terms(monkeypatch):
         correspondence, "_divided_difference", lambda terms, i, packing: terms
     )
     with pytest.raises(RuntimeError):
-        list(correspondence._sweep((1, 2), 4, correspondence._packing(4)))
+        list(correspondence._sweep((1, 2), 4, correspondence._packing(4), correspondence._plan(4)))
 
 
 @pytest.mark.parametrize(
@@ -452,7 +501,7 @@ def test_sweep_checks_every_term_against_the_lead(monkeypatch, planted):
 
     monkeypatch.setattr(correspondence, "_divided_difference", plant)
     with pytest.raises(RuntimeError, match=r"went wrong at \(2, 1, 5, 3, 4\)"):
-        list(correspondence._sweep((2, 1), 5, correspondence._packing(5)))
+        list(correspondence._sweep((2, 1), 5, correspondence._packing(5), correspondence._plan(5)))
 
 
 def test_too_narrow_digits_do_not_go_unnoticed(monkeypatch):
@@ -548,7 +597,7 @@ def least_labeling_rejections(n):
     width = n * (n - 1) // 2 + 2  # D = n(n-1)/2 + 2
     rejected = 0
     for prefix in correspondence._units(n):
-        for w, code, terms in correspondence._sweep(prefix, n, packing):
+        for w, code, terms in correspondence._sweep(prefix, n, packing, correspondence._plan(n)):
             steps, ones, twos = _layout(code)
             if max(terms.values()) >> width * (ones * n + twos + 1):
                 counts = _labeling_sum(steps, packing)
@@ -727,7 +776,7 @@ def test_bad_pair_cross_check_lists_each_disagreement(monkeypatch):
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
-    def fail(prefix, n, table):
+    def fail(prefix, n, table, plan):
         raise RuntimeError(f"sweep went wrong at {prefix}")
 
     monkeypatch.setattr(correspondence, "_verify_unit", fail)
@@ -854,7 +903,7 @@ def test_report_and_witness_refuse_assignment():
             setattr(obj, name, 0)
     # a run starts from the tally fields' defaults, and a unit returns
     # the same fields
-    unit = correspondence._verify_unit((1,), 1, {})
+    unit = correspondence._verify_unit((1,), 1, {}, correspondence._plan(1))
     assert list(unit) == list(correspondence._tallies())
     assert correspondence._tallies() == {
         "total": 0,

@@ -3,19 +3,20 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from references import (
     grid_mask,
     perms,
     reference_bottom,
     reference_closure,
+    reference_divided_difference,
     reference_move,
     reference_reading,
     small_polys,
     x,
 )
 
-from forestry import pipedreams
+from forestry import pipedreams, polynomials
 from forestry.permutations import (
     all_permutations,
     contains_pattern,
@@ -181,6 +182,24 @@ def test_start_decodes_to_the_bottom_dream():
                 assert len(code) < 1 << bits <= max(2 * len(code), 1), w
                 assert state >> len(bottom) * bits == 0, w
                 assert occupied == frame_mask(cells, stride, k), (w, size)
+
+
+def test_start_refuses_a_frame_too_narrow_for_a_row():
+    # row r with c crossings needs n >= r + c, so that its last crossing
+    # keeps a spare slot to its right; the trimmed length always suffices,
+    # and for w(1) = n it is exactly the need
+    for m in range(1, 7):
+        for w in all_permutations(m):
+            code = trim_zeros(lehmer_code(w))
+            if not code:
+                continue
+            need = max(r + c for r, c in enumerate(code, 1) if c)
+            assert need <= len(trim(w)), w
+            pipedreams._start(code, need)
+            with pytest.raises(RuntimeError, match="too narrow"):
+                pipedreams._start(code, need - 1)
+    with pytest.raises(RuntimeError, match="too narrow"):
+        pipedreams._slide_walk((3, 1, 1), 3, [-1] * 5)
 
 
 @st.composite
@@ -495,6 +514,54 @@ def test_divided_difference_fixtures():
     assert divided_difference(x(1) ** 2, 1) == x(1) + x(2)
     assert divided_difference(x(3), 1) == 0
     assert divided_difference(Polynomial.constant(7), 2) == 0
+
+
+@st.composite
+def packed_terms(draw):
+    # a layout of 2 to 5 fields of 1 to 6 bits, an i, and terms whose
+    # exponents span the whole field, so that a - b at x_i, x_(i+1) takes
+    # either sign up to the field's full width
+    nvars = draw(st.integers(2, 5))
+    packing = _Packing(nvars, draw(st.integers(1, 63)))
+    exps = st.tuples(*[st.integers(0, packing.mask)] * nvars)
+    terms = draw(st.dictionaries(exps, st.integers(-5, 5).filter(bool), max_size=6))
+    return packing, draw(st.integers(1, nvars - 1)), terms
+
+
+@settings(max_examples=300)
+@given(packed_terms())
+@example((_Packing(3, 63), 1, {(63, 0, 5): 2, (0, 63, 1): -3, (7, 7, 7): 1}))
+@example((_Packing(3, 1), 2, {(1, 1, 0): 4, (0, 0, 1): 1}))
+def test_divided_difference_matches_the_termwise_reference(case):
+    packing, i, terms = case
+    packed = {packing.pack(exps): coeff for exps, coeff in terms.items()}
+    got = packing.decode(_divided_difference(packed, i, packing))
+    assert got == reference_divided_difference(Polynomial(terms), i)
+
+
+def test_a_wide_layout_fills_only_the_entries_it_meets(monkeypatch):
+    # the layout of schubert --oracle at n = 200 has 8-bit fields, so the
+    # table of one d_i has 2 * 255 + 1 slots; one d_5 over keys whose
+    # a - b are 3, 3, -2 and 0 makes that one table and fills the two
+    # entries it meets, each with |a - b| offsets
+    monkeypatch.setattr(polynomials, "_INTERNED", {})
+    packing = _Packing(200, 199)
+    terms = {(0, 0, 0, 0, 5, 2): 1, (1, 0, 0, 0, 7, 4): 2, (0, 0, 0, 0, 1, 3): 1}
+    terms[0, 0, 0, 0, 4, 4] = 9
+    packed = {packing.pack(exps): coeff for exps, coeff in terms.items()}
+    got = packing.decode(_divided_difference(packed, 5, packing))
+    assert got == reference_divided_difference(Polynomial(terms), 5)
+    assert [i for i, table in enumerate(packing.divdiffs) if table is not None] == [5]
+    table = packing.divdiffs[5]
+    assert len(table) == 511
+    filled = {d - 511 * (d > 255): entry for d, entry in enumerate(table) if entry is not None}
+    assert sorted(filled) == [-2, 3]
+    assert [(negate, len(offsets)) for negate, offsets in (filled[-2], filled[3])] == [
+        (True, 2),
+        (False, 3),
+    ]
+    # another packing of the layout shares its tables
+    assert _Packing(200, 199).divdiffs is packing.divdiffs
 
 
 @given(small_polys(3), st.integers(1, 3))

@@ -145,6 +145,52 @@ def test_the_slide_update_is_written_once():
     assert found == [("pipedreams.py", "_slide_walk", "occupied ^ 1 << at ^ 1 << at - stride")]
 
 
+def is_divided_difference_step(node):
+    # x - (1 << lo): one degree moved from x_i's field to x_(i+1)'s, the
+    # step every offset of a d_i entry is built from; or (k >> h & m) -
+    # (k >> l & m), the a - b that picks the entry
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    right = node.right
+    if (
+        isinstance(right, ast.BinOp)
+        and isinstance(right.op, ast.LShift)
+        and isinstance(right.left, ast.Constant)
+        and right.left.value == 1
+        and isinstance(right.right, ast.Name)
+        and right.right.id == "lo"
+    ):
+        return True
+
+    def field(side):
+        return (
+            isinstance(side, ast.BinOp)
+            and isinstance(side.op, ast.BitAnd)
+            and isinstance(side.left, ast.BinOp)
+            and isinstance(side.left.op, ast.RShift)
+        )
+
+    return field(node.left) and field(node.right)
+
+
+def test_the_divided_difference_step_is_written_once():
+    # the closed form of d_i, the exponent difference of two adjacent
+    # fields and the step its offsets are built from, has one place in the
+    # package: the table-driven kernel that the sweep and the oracle share
+    found = sorted(
+        (path.name, func.name, ast.unparse(node))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if is_divided_difference_step(node)
+    )
+    assert found == [
+        ("polynomials.py", "_divided_difference", "(key >> hi & mask) - (key >> lo & mask)"),
+        ("polynomials.py", "_divided_difference", "unit - (1 << lo)"),
+    ]
+
+
 def test_only_polynomials_names_the_intern_table():
     # packed keys are decoded through one table per field layout, and only
     # _Packing fills, bounds or reads it
