@@ -5,8 +5,8 @@ Subcommands: schubert, forest, check, pipedreams, verify.  Exit codes:
 stdout early, a standard output or error closed at start or not writable,
 a ``verify`` worker process that died or no memory left, 2 a
 verdict split (the pattern test and the polynomial test disagreeing) or an
-oracle mismatch.  ``--json`` keeps stdout machine-parseable; progress
-chatter for long verification runs goes to stderr.
+oracle mismatch, 130 Ctrl-C.  ``--json`` keeps stdout machine-parseable;
+progress chatter for long verification runs goes to stderr.
 """
 
 from __future__ import annotations
@@ -198,20 +198,14 @@ def _cmd_check(args) -> int:
         print(
             json.dumps(
                 {
-                    "permutation": list(w),
+                    "permutation": w,
                     "pattern_forest": by_pattern,
                     "expansion_forest": by_expansion,
                     "agree": agree,
-                    "patterns": [
-                        {"pattern": list(p), "indices": list(idx)} for p, idx in hits
-                    ],
+                    "patterns": [{"pattern": p, "indices": idx} for p, idx in hits],
                     "bad_pair": None
                     if bad is None
-                    else {
-                        "parent": list(bad.parent),
-                        "child": list(bad.child),
-                        "moves": [list(v) for v in bad.moves],
-                    },
+                    else {"parent": bad.parent, "child": bad.child, "moves": bad.moves},
                 }
             )
         )
@@ -239,25 +233,20 @@ def _cmd_check(args) -> int:
 def _cmd_pipedreams(args) -> int:
     w = parse_permutation(args.perm)
     dreams = simple_closure(w) if args.simple_only else all_pipe_dreams(w)
-    ordered = sorted(dreams, key=lambda d: (weight(d), sorted(d)))
+    # distinct dreams have distinct cell lists, so no two dreams tie and
+    # the sort never compares the dreams themselves
+    ordered = sorted((weight(d), sorted(d), d) for d in dreams)
     size = len(trim(w)) if trim(w) else 1
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {"cells": [list(c) for c in sorted(d)], "weight": list(weight(d))}
-                    for d in ordered
-                ]
-            )
-        )
+        print(json.dumps([{"cells": cells, "weight": exps} for exps, cells, _ in ordered]))
         return 0
     label = "dreams in the simple-move closure" if args.simple_only else "pipe dreams"
     print(f"{len(ordered)} {label} for {format_permutation(w)}")
-    for dream in ordered:
+    for exps, _, dream in ordered:
         print()
         for line in render(dream, size):
             print(line)
-        print(f"weight: {Polynomial.monomial(weight(dream))}")
+        print(f"weight: {Polynomial.monomial(exps)}")
     return 0
 
 
@@ -311,6 +300,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         status = _COMMANDS[args.command](args)
         sys.stdout.flush()
+    except KeyboardInterrupt:
+        # Ctrl-C: the status a shell gives a process SIGINT ended, without
+        # the traceback; a parallel run has killed and reaped its workers
+        return 130
     except (ValueError, WorkerDied) as exc:
         # malformed input or a dead verify worker: the library's message,
         # on one line

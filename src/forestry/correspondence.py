@@ -290,42 +290,32 @@ def _plan(n: int) -> list[tuple]:
     decreasing one, and lists the nodes in the order ``_sweep`` visits
     them, each as (depth, i, suffix as bytes, trimmed code of the suffix,
     lead key), with i the d_i that reaches the node from its parent (0 at
-    the top, depth 0).  With f the first ascent >= 3 of u (n if none),
-    w = u s_i has first ascent i for each i < f, and for i = f + 1 when
-    u(f+1) > u(f+2) < u(f); for no other i.  The code is carried down the
-    walk: as u(i) > u(i+1), entries i and i+1 of the code of w are those
-    of u, exchanged, the first one less; the lead key moves with them.
+    the top, depth 0).  The children of u are the w = u s_i, for each
+    descent i >= 3 of u, whose first ascent at or after position 3 is i.
     n = 1 and n = 2 have the one-entry plan of an empty suffix.
     """
     units = _packing(n).units
-    top = tuple(range(n - 2, 0, -1))
-    code = lehmer_code(top)
-    lead = sum(c * units[j] for j, c in enumerate(code, 3))
     plan = []
-    stack = [(0, 0, top, code, lead)]
+    stack = [(0, 0, tuple(range(n - 2, 0, -1)))]
     while stack:
-        depth, i, u, code, lead = stack.pop()
+        depth, i, u = stack.pop()
+        code = lehmer_code(u)
+        lead = sum(c * units[j] for j, c in enumerate(code, 3))
         plan.append((depth, i, bytes(u), trim_zeros(code), lead))
         # position j of the run is index j - 3 of the suffix
-        f = 3
-        while f < n and u[f - 3] > u[f - 2]:
-            f += 1
-        children = list(range(3, f))
-        if f + 1 < n and u[f - 3] > u[f - 1] < u[f - 2]:
-            children.append(f + 1)
-        for i in children:
-            a, b = code[i - 3], code[i - 2]
-            w = u[: i - 3] + (u[i - 2], u[i - 3]) + u[i - 1 :]
-            c = code[: i - 3] + (b, a - 1) + code[i - 1 :]
-            key = lead + (b - a) * units[i] + (a - 1 - b) * units[i + 1]
-            stack.append((depth + 1, i, w, c, key))
+        for i in range(3, n):
+            if u[i - 3] > u[i - 2]:
+                w = u[: i - 3] + (u[i - 2], u[i - 3]) + u[i - 1 :]
+                if next(j for j in range(3, n) if w[j - 3] < w[j - 2]) == i:
+                    stack.append((depth + 1, i, w))
     return plan
 
 
 def _sweep(prefix: Permutation, n: int, packing: _Packing, plan: list[tuple]):
     """Yield (w, trimmed Lehmer code of w, Schubert polynomial of w in the
-    ``_freeze`` form of ``packing``) for every w in S_n (untrimmed) that
-    starts with ``prefix``, in the order of ``plan``, ``_plan(n)``.
+    ``_freeze`` form of ``packing``) for every w in S_n that starts with
+    ``prefix``, in the order of ``plan``, ``_plan(n)``; w is untrimmed and
+    in byte form, one value per byte, as ``avoidance_bits`` reads it.
 
     The top of the unit, the prefix followed by the other values in
     decreasing order, comes from ``_schubert_divdiff_terms`` and is frozen
@@ -362,12 +352,12 @@ def _sweep(prefix: Permutation, n: int, packing: _Packing, plan: list[tuple]):
     for depth, i, suffix, code, lead in plan:
         terms = _divided_difference(levels[depth - 1], i, packing) if depth else frozen
         levels[depth:] = (terms,)
-        w = tuple(start + suffix.translate(values))
+        w = start + suffix.translate(values)
         if terms.get(lead, 0) >> shift & digit != 1:
-            raise RuntimeError(f"divided-difference sweep went wrong at {w}")
+            raise RuntimeError(f"divided-difference sweep went wrong at {tuple(w)}")
         for key, value in terms.items():
             if value & (through if key < lead else below):
-                raise RuntimeError(f"divided-difference sweep went wrong at {w}")
+                raise RuntimeError(f"divided-difference sweep went wrong at {tuple(w)}")
         yield w, head + code if code else bare, terms
 
 
@@ -381,7 +371,9 @@ def _verify_unit(
 ) -> dict:
     """Counts and disagreements over the permutations starting with
     ``prefix``; ``table`` is ``avoider_table(_PATTERN_SETS, n - 1)`` and
-    ``plan`` is ``_plan(n)``, both built once per run.
+    ``plan`` is ``_plan(n)``, both built once per run.  The sweep's w is
+    bytes, which ``avoidance_bits`` reads as it is; only a disagreement
+    entry turns it into a list.
 
     A test that can only reject runs before the labelings are listed.  Let
     a and b be the numbers of 1s and 2s in the least labeling L of the

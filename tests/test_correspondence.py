@@ -374,7 +374,7 @@ def check_sweep(n):
     for prefix in correspondence._units(n):
         for w, _, terms in correspondence._sweep(prefix, n, packing, correspondence._plan(n)):
             assert packing.decode(thaw(terms, packing)) == schubert(w), w
-            found.append(w)
+            found.append(tuple(w))
     assert sorted(found) == list(all_permutations(n))
 
 
@@ -419,32 +419,41 @@ def test_sweep_children_match_the_first_ascent_rule():
     for n in range(1, 8):
         packing = correspondence._packing(n)
         for prefix in correspondence._units(n):
-            walked = [w for w, _, _ in correspondence._sweep(prefix, n, packing, correspondence._plan(n))]
+            walked = [tuple(w) for w, _, _ in correspondence._sweep(prefix, n, packing, correspondence._plan(n))]
             assert walked == reference_sweep(prefix, n), prefix
 
 
-def test_plan_instantiates_to_every_unit():
+def check_plan(n):
     # the plan of S_n, applied to each prefix by this test's own reading:
     # the suffix's value v becomes the v-th least value the prefix leaves;
     # each entry's w, depth, code and lead key over x3 .. xn are those of
     # the reference walk, and its parent, the last entry one level up, is
     # w s_i
+    plan = correspondence._plan(n)
+    packing = correspondence._packing(n)
+    for prefix in correspondence._units(n):
+        rest = sorted(set(range(1, n + 1)) - set(prefix))
+        walked = [prefix + tuple(rest[v - 1] for v in entry[2]) for entry in plan]
+        assert walked == reference_sweep(prefix, n), prefix
+        top = inversions(walked[0])
+        for k, ((depth, i, _, code, lead), w) in enumerate(zip(plan, walked)):
+            full = lehmer_code(w)
+            assert depth == top - inversions(w), w
+            assert trim_zeros(full[:2] + code) == trim_zeros(full), w
+            assert lead == packing.pack((0, 0) + full[2:]), w
+            if depth:
+                parent = next(u for (d, *_), u in zip(plan[k::-1], walked[k::-1]) if d < depth)
+                assert parent == w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :], w
+
+
+def test_plan_instantiates_to_every_unit():
     for n in range(3, 8):
-        plan = correspondence._plan(n)
-        packing = correspondence._packing(n)
-        for prefix in correspondence._units(n):
-            rest = sorted(set(range(1, n + 1)) - set(prefix))
-            walked = [prefix + tuple(rest[v - 1] for v in entry[2]) for entry in plan]
-            assert walked == reference_sweep(prefix, n), prefix
-            top = inversions(walked[0])
-            for k, ((depth, i, _, code, lead), w) in enumerate(zip(plan, walked)):
-                full = lehmer_code(w)
-                assert depth == top - inversions(w), w
-                assert trim_zeros(full[:2] + code) == trim_zeros(full), w
-                assert lead == packing.pack((0, 0) + full[2:]), w
-                if depth:
-                    parent = next(u for (d, *_), u in zip(plan[k::-1], walked[k::-1]) if d < depth)
-                    assert parent == w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :], w
+        check_plan(n)
+
+
+@pytest.mark.extended
+def test_plan_instantiates_to_every_unit_s8():
+    check_plan(8)
 
 
 def test_plan_of_a_short_run_has_one_entry():

@@ -4,6 +4,7 @@
 import ast
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -160,6 +161,38 @@ def test_stderr_closed_at_start_exits_quietly(argv, opened):
     assert proc.returncode == 1
     assert b"Traceback" not in out
     assert out == b""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ctrl_c_exits_130_without_a_traceback(jobs):
+    # SIGINT to the whole session, as Ctrl-C sends it to the foreground
+    # group, once the first unit is done: exit 130, nothing on stderr but
+    # that progress line, and no worker left in the group; with two usable
+    # CPUs, --jobs 2 really forks
+    script = (
+        "import sys\n"
+        "from forestry import correspondence\n"
+        "from forestry.cli import main\n"
+        "correspondence._usable_cpus = lambda: 2\n"
+        "sys.exit(main(['verify', '8', '--max-n', '8', '--jobs', sys.argv[1]]))\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, jobs],
+        env=src_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    first = proc.stderr.readline()
+    os.killpg(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=120)
+    assert first.startswith(b"checked "), first
+    assert proc.returncode == 130
+    assert b"Traceback" not in err
+    assert all(line.startswith(b"checked ") for line in err.splitlines()), err
+    assert out == b""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_serial_verify_loads_no_pool_and_no_dataclasses():
