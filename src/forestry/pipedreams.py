@@ -24,18 +24,23 @@ the transfer.
 
 Inside this module a dream is also one int, a mask, in one frame: for w
 of trimmed length n with k leading fixed points, cell (r, c) carries
-letter a = r + c - 1 and is bit (r - 1) * S + a - k - 1, S = n - k.
-Slot S - 1 of each row is a spare that stays empty, so a shift by one bit
-never carries a cell into the next row.  ``_transfer`` builds masks row by
-row.  ``_slide_walk``, the one order-0 walk, gets its frame, first state
-and first mask from ``_start``, one pass over the rows of the Lehmer code,
-and takes each state's slides from one ``_slides`` mask, with a bit test
-per crossing; that loop holds the one statement of the slide's update.
+letter a = r + c - 1 and is bit (r - 1) * S + a - k - 1, where the stride
+S = ``_stride(n, k)`` is n - k rounded up to whole bytes.  Slots n - k - 1
+to S - 1 of each row are spares that stay empty, so a shift by one bit
+never carries a cell into the next row, and each row starts on a byte.
+``_transfer`` builds masks row by row, and ``_dreams`` decodes them a byte
+at a time: each byte of a row has a table from its value to the frozenset
+of its cells, and a dream is the union of its bytes' sets, which copies
+their stored hashes instead of hashing each cell again.  ``_slide_walk``,
+the one order-0 walk, gets its frame, first state and first mask from
+``_start``, one pass over the rows of the Lehmer code, and takes each
+state's slides from one ``_slides`` mask, with a bit test per crossing;
+that loop holds the one statement of the slide's update.
 ``simple_closure`` takes the whole walk, and the bad-pair search in
 ``correspondence`` stops it at the first crossing level with its cover
 parent; ``_can_slide`` checks a replayed move against the same frame.
 The walk may run in the frame of a larger n, a ``verify`` run's: that
-only widens the spare slots; ``_start`` refuses an n below some row's
+only adds spare slots; ``_start`` refuses an n below some row's
 r + code(r), which would leave that row no spare slot.  The walk's
 closure, the transfer and both of its folds certify what they return
 with explicit checks that raise RuntimeError.
@@ -44,7 +49,7 @@ with explicit checks that raise RuntimeError.
 from __future__ import annotations
 
 import functools
-from itertools import compress
+from operator import getitem
 from typing import Optional
 
 from .permutations import _CACHE_SIZE, Permutation, inverse, lehmer_code, trim, trim_zeros
@@ -71,12 +76,19 @@ __all__ = [
 ]
 
 
-def _replay(d: int, line: list) -> Optional[tuple]:
-    """Apply the letters of mask ``d``, rows top to bottom and each right to
-    left, to ``line``, the values at positions k + 1 .. n, as right
-    multiplications: slot i swaps entries i and i + 1.  The line reached, or
-    None when a step would cancel an inversion."""
-    stride = len(line)
+def _stride(n: int, k: int) -> int:
+    """The row stride of the mask frame for trimmed length ``n`` and ``k``
+    leading fixed points: n - k slots rounded up to whole bytes, so that
+    every row starts on a byte of the mask."""
+    return (n - k + 7) & -8
+
+
+def _replay(d: int, line: list, stride: int) -> Optional[tuple]:
+    """Apply the letters of mask ``d``, in the frame of row ``stride``, rows
+    top to bottom and each right to left, to ``line``, the values at
+    positions k + 1 .. n, as right multiplications: slot i swaps entries i
+    and i + 1.  The line reached, or None when a step would cancel an
+    inversion."""
     row_bits = (1 << stride) - 1
     while d:
         bits = d & row_bits
@@ -100,27 +112,28 @@ def _slides(d: int, stride: int) -> int:
 
 
 def _start(code, n: int) -> tuple[tuple, int, int]:
-    """``_slide_walk``'s frame, first state and mask, from one pass over
-    ``code``, the trimmed Lehmer code of a w whose trimmed length is at
-    most ``n``.  The frame is (stride, bits, offsets): the stride is n - k,
-    k the code's leading zeros; slot i of a state is the ``bits``-wide
-    field at i * bits, as wide as the last row, len(code), needs; and a
-    slide keeps the letter, so the crossing in slot i sits at bit
-    row * stride + offsets[i] of the mask.  An n above the trimmed length
-    only widens the spare slots, which stay empty.  A frame too narrow for
+    """``_slide_walk``'s frame, first state and mask, from one pass over the
+    rows of ``code``, the trimmed Lehmer code of a w whose trimmed length
+    is at most ``n``.  The frame is (stride, bits, offsets): the stride is
+    ``_stride(n, k)``, k the code's leading zeros; slot i of a state is the
+    ``bits``-wide field at i * bits, as wide as the last row, len(code),
+    needs; and a slide keeps the letter, so the crossing in slot i sits at
+    bit row * stride + offsets[i] of the mask.  An n above the trimmed
+    length only adds spare slots, which stay empty.  A frame too narrow for
     some row, n < r + code[r - 1], would leave that row no spare slot and
     raises RuntimeError."""
     bits = len(code).bit_length()
     field = (1 << bits) - 1
     offsets: list[int] = []
-    stride, state, occupied, shift = n, 0, 0, 0
+    k = next((i for i, c in enumerate(code) if c), 0)
+    stride = _stride(n, k)
+    base = k + 1 + stride  # letter a sits at bit row * stride + a - base
+    state, occupied, shift = 0, 0, 0
     for r, c in enumerate(code, 1):
-        if not offsets:
-            stride = n + 1 - r  # row r is the first with a crossing when c > 0
         if c:
             if r + c > n:
                 raise RuntimeError(f"a frame for n = {n} is too narrow for row {r} of {code}")
-            offset = r - n - 1  # crossing t of row r has offset r + t - n - 2
+            offset = r - base  # crossing t of row r has letter r + t - 1
             offsets += range(offset, offset + c)
             # r in each of the row's c fields: r times the repunit in base 2^bits
             state |= r * ((1 << c * bits) - 1) // field << shift
@@ -220,10 +233,6 @@ def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:
     return rows
 
 
-# the digits of bin(), as bytes that are false for 0 and true for 1
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 class _RowGraph:
     """``_transfer``'s layered graph of one w, and its two folds.
 
@@ -245,15 +254,13 @@ class _RowGraph:
     @functools.cached_property
     def dreams(self) -> frozenset:
         w = self.w
-        if not w:  # the one dream is empty, and _dreams decodes no empty mask
-            return frozenset({frozenset()})
         masks = [[0]]
         for layer in reversed(self.layers):
             masks = [
                 [bits | d for bits, _, child in edges for d in masks[child]] for edges in layer
             ]
         (masks,) = masks
-        dreams = _dreams(masks, len(w), self.k)
+        dreams = _dreams(masks, self.packing, self.k)
         n_inv = sum(self.code)
         if len(dreams) != len(masks) or set(map(int.bit_count, masks)) != {n_inv}:
             raise RuntimeError(f"the dreams of {w} are not {len(masks)} distinct reduced words")
@@ -305,8 +312,9 @@ def _transfer(w: Permutation) -> _RowGraph:
     add to it.  Lines are the nodes of a layered graph, one layer per row,
     so the completions of rows r.. from one line are shared by every prefix
     that reaches it, and each fold of ``_RowGraph`` builds them once, with
-    no recursion.  Row masks are in the module's frame, with stride n - k,
-    so a long w with k leading fixed points keeps short masks.
+    no recursion.  Row masks are in the module's frame, with the stride
+    ``_stride(n, k)``, so a long w with k leading fixed points keeps short
+    masks.
 
     Raises RuntimeError unless every letter is an ascent when it is placed,
     every line after the last row is w, and the rows ``_rows`` gives for one
@@ -315,9 +323,9 @@ def _transfer(w: Permutation) -> _RowGraph:
     """
     n = len(w)
     k = next((i for i, v in enumerate(w) if v != i + 1), 0)
-    stride = n - k
+    stride = _stride(n, k)
     # row r holds at most one crossing per letter, of n - 1 - k
-    packing = _Packing(n, stride - 1)
+    packing = _Packing(n, n - 1 - k)
     pos = (0, *inverse(w))  # pos[v]: the position of v in w
     layers = []
     frontier = {tuple(range(k + 1, n + 1)): 0}
@@ -331,7 +339,7 @@ def _transfer(w: Permutation) -> _RowGraph:
                 raise RuntimeError(f"rows {r} of dreams of {w} from {line} are not distinct")
             edges = []
             for bits in rows:
-                u = _replay(bits, list(line)) if bits else line
+                u = _replay(bits, list(line), stride) if bits else line
                 if u is None:
                     raise RuntimeError(f"a letter in row {r} of a dream of {w} is not an ascent")
                 child = children.setdefault(u, len(children))
@@ -355,16 +363,40 @@ def all_pipe_dreams(w: Permutation) -> frozenset:
     return _transfer_cached(trim(w)).dreams
 
 
-def _dreams(masks, n: int, k: int) -> frozenset:
-    """The nonzero ``masks`` of the frame (n, k) as a frozenset of cell sets.
-    All crossings but the last come off the binary digits, and the last
-    joins by set union: a dream of 5 to 8 cells then gets a 472-byte table,
-    where one pass over all its cells allocates 728 bytes."""
-    cell_at = [(r, i + k + 2 - r) for r in range(1, n) for i in range(n - k)]
+class _ByteCells(dict):
+    """One byte of a mask row: a byte value -> the frozenset of the cells
+    its set bits stand for, each entry made on its first lookup."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: list) -> None:
+        super().__init__()
+        self.cells = cells  # the cell of each bit, the lowest first
+
+    def __missing__(self, byte: int) -> frozenset:
+        cells = self[byte] = frozenset([c for i, c in enumerate(self.cells) if byte >> i & 1])
+        return cells
+
+
+def _dreams(masks, packing: _Packing, k: int) -> frozenset:
+    """The ``masks`` of the frame of w, of trimmed length packing.nvars with
+    ``k`` leading fixed points, as a frozenset of cell sets.  The row tables
+    of the frame, one ``_ByteCells`` per byte of each row, live in the
+    layout's intern entry, so every w of one frame shares them.  A dream is
+    the union of the cell sets of its mask's bytes, up to the highest
+    nonzero one: a union copies the hashes its small sets store, so no
+    cell is hashed again."""
+    tables = packing.row_cells.get(k)
+    if tables is None:
+        n = packing.nvars
+        tables = packing.row_cells[k] = [
+            _ByteCells([(r, i + k + 2 - r) for i in range(b, b + 8)])
+            for r in range(1, n)
+            for b in range(0, _stride(n, k), 8)
+        ]
+    union = frozenset().union
     return frozenset(
-        frozenset(compress(cell_at, bin(d)[:2:-1].encode().translate(_BITS)))
-        | {cell_at[d.bit_length() - 1]}
-        for d in masks
+        union(*map(getitem, tables, d.to_bytes(d.bit_length() + 7 >> 3, "little"))) for d in masks
     )
 
 
@@ -380,15 +412,17 @@ def simple_closure(w: Permutation) -> frozenset:
     n, n_inv = len(w), sum(code)
     k = next(i for i, v in enumerate(w) if v != i + 1)
     _, reached, _ = _slide_walk(code, n, [-1] * n_inv)
-    spare = sum(1 << r * (n - k) - 1 for r in range(1, n))
+    stride = _stride(n, k)
+    # slots n - k - 1 .. stride - 1 of each row
+    spare = sum((1 << stride) - (1 << n - k - 1) << r * stride for r in range(n - 1))
     for _, d in reached:
         if d & spare:
             raise RuntimeError(f"a simple slide in a dream of {w} left the staircase")
         if d.bit_count() != n_inv:
             raise RuntimeError(f"a dream of {w} has {d.bit_count()} crossings, not {n_inv}")
-        if _replay(d, list(range(k + 1, n + 1))) != w[k:]:
+        if _replay(d, list(range(k + 1, n + 1)), stride) != w[k:]:
             raise RuntimeError(f"a simple slide in a dream of {w} broke reducedness")
-    dreams = _dreams((d for _, d in reached), n, k)
+    dreams = _dreams((d for _, d in reached), _Packing(n, n - 1 - k), k)
     if len(dreams) != len(reached):
         raise RuntimeError(f"two states of the order-0 walk of {w} share a dream")
     return dreams

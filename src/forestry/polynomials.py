@@ -233,11 +233,12 @@ def _raw(terms: dict[Monomial, int]) -> Polynomial:
 
 # one entry per field layout (nvars, bits), shared by every _Packing of
 # that layout: its decode table, packed key -> trimmed exponent tuple, so
-# every decode of one monomial returns one tuple object, and its ∂ tables
-# (see _divided_difference).  A layout's decode table is emptied before it
-# would pass _INTERN_LIMIT entries; S_8 has at most 8! monomials under the
-# staircase and never reaches it.
-_INTERNED: dict[tuple[int, int], tuple[dict[int, Monomial], list]] = {}
+# every decode of one monomial returns one tuple object, its ∂ tables (see
+# _divided_difference), and the pipe-dream row tables of each count k of
+# leading fixed points (see pipedreams._dreams).  A layout's decode table
+# is emptied before it would pass _INTERN_LIMIT entries; S_8 has at most 8!
+# monomials under the staircase and never reaches it.
+_INTERNED: dict[tuple[int, int], tuple[dict[int, Monomial], list, dict]] = {}
 _INTERN_LIMIT = 1 << 16
 
 
@@ -253,7 +254,7 @@ class _Packing:
     largest total degree they reach.
     """
 
-    __slots__ = ("nvars", "bits", "mask", "units", "interned", "divdiffs")
+    __slots__ = ("nvars", "bits", "mask", "units", "interned", "divdiffs", "row_cells")
 
     def __init__(self, nvars: int, max_exponent: int):
         self.nvars = nvars
@@ -263,8 +264,8 @@ class _Packing:
         self.units = (0,) + tuple(
             1 << self.bits * (nvars - i) for i in range(1, nvars + 1)
         )
-        self.interned, self.divdiffs = _INTERNED.setdefault(
-            (nvars, self.bits), ({}, [None] * nvars)
+        self.interned, self.divdiffs, self.row_cells = _INTERNED.setdefault(
+            (nvars, self.bits), ({}, [None] * nvars, {})
         )
 
     def pack(self, exps: Sequence[int]) -> int:

@@ -128,6 +128,12 @@ def frame(w):
     return len(w), next((i for i, v in enumerate(w) if v != i + 1), 0)
 
 
+def frame_stride(n, k):
+    # the module's row stride as its docstring states it: n - k slots,
+    # rounded up to whole bytes
+    return 8 * -(-(n - k) // 8)
+
+
 def frame_mask(cells, stride, k):
     # the module's frame as its docstring states it: (r, c), letter
     # a = r + c - 1, is bit (r - 1) * stride + a - k - 1
@@ -135,10 +141,10 @@ def frame_mask(cells, stride, k):
 
 
 def check_slides_match_the_scan(cells, width, k):
-    # the crossings of the one mask of _slides, in the frame of stride
-    # width - k above k leading fixed points, are the scan's order-0 moves
+    # the crossings of the one mask of _slides, in the frame of width
+    # above k leading fixed points, are the scan's order-0 moves
     slides = [cell for cell, (order, _) in moves_of(cells, width).items() if order == 0]
-    stride = width - k
+    stride = frame_stride(width, k)
     d = frame_mask(cells, stride, k)
     assert pipedreams._slides(d, stride) == frame_mask(slides, stride, k), sorted(cells)
 
@@ -156,7 +162,7 @@ def decode_start(code, n):
     # _start's frame, state and mask for the code at n, with each crossing's
     # field and bit decoded to its cell through the documented frame
     (stride, bits, offsets), state, occupied = pipedreams._start(code, n)
-    k = n - stride
+    k = next((i for i, c in enumerate(code) if c), 0)
     cells = []
     for i, offset in enumerate(offsets):
         row = state >> i * bits & (1 << bits) - 1
@@ -166,10 +172,10 @@ def decode_start(code, n):
 
 
 def test_start_decodes_to_the_bottom_dream():
-    # one pass over the code gives the frame of w: the stride n - k, fields
+    # one pass over the code gives the frame of w: the stride, fields
     # just wide enough for the last row, one field per crossing in slot
     # order, and rows and offsets that decode to the bottom dream's cells;
-    # a larger n widens only the spare slots
+    # a larger n adds only spare slots
     for m in range(1, 8):
         for w in all_permutations(m):
             n, k = frame(w)
@@ -178,7 +184,7 @@ def test_start_decodes_to_the_bottom_dream():
             for size in (n, m, m + 2):
                 (stride, bits), state, occupied, cells = decode_start(code, size)
                 assert cells == bottom, (w, size)
-                assert stride == size - k, (w, size)
+                assert stride == frame_stride(size, k), (w, size)
                 assert len(code) < 1 << bits <= max(2 * len(code), 1), w
                 assert state >> len(bottom) * bits == 0, w
                 assert occupied == frame_mask(cells, stride, k), (w, size)
@@ -295,7 +301,7 @@ def test_closure_certifies_every_mask(monkeypatch, extra, message):
 
     def one_more(code, n, parents):
         prev, reached, stop = walk(code, n, parents)
-        stride = n - next(i for i, c in enumerate(code) if c)  # n - k
+        stride = frame_stride(n, next(i for i, c in enumerate(code) if c))
         return prev, [*reached, (-1, extra(reached[-1][1], stride))], stop
 
     monkeypatch.setattr(pipedreams, "_slide_walk", one_more)
@@ -346,6 +352,40 @@ def test_long_sparse_permutation_is_fast():
     assert poly == sum((x(r) for r in range(1, n)), Polynomial.zero())
 
 
+# rows wider than one byte: n - k = 9, 9, 16 and 17 letters' slots, with
+# k = 0, 2, 1 and 0; the last has letters 1, 2, 9 and 16, so a row's
+# crossings sit on both sides of a byte boundary
+WIDE_ROWS = [
+    (2, 1, 3, 4, 5, 6, 7, 9, 8),
+    (1, 2, 4, 3, 5, 6, 7, 8, 9, 11, 10),
+    (1, 3, 2, *range(4, 16), 17, 16),
+    (3, 1, 2, *range(4, 9), 10, 9, *range(11, 16), 17, 16),
+]
+
+
+def test_transfer_matches_the_ladder_move_closure_on_wide_rows():
+    assert [(n - k, k) for n, k in map(frame, WIDE_ROWS)] == [(9, 0), (9, 2), (16, 1), (17, 0)]
+    for w in WIDE_ROWS:
+        assert all_pipe_dreams(w) == reference_closure(w), w
+
+
+def test_simple_closure_on_wide_rows():
+    # two 1432-avoiders, where the order-0 closure is every dream
+    for w in (WIDE_ROWS[0], WIDE_ROWS[3]):
+        assert not contains_pattern(w, (1, 4, 3, 2))
+        assert simple_closure(w) == reference_closure(w, 0) == reference_closure(w), w
+
+
+@pytest.mark.parametrize("width", [8, 9, 16, 17])
+@pytest.mark.parametrize("k", [0, 1])
+def test_full_staircase_mask_decodes_to_every_cell(width, k):
+    # every letter slot of every row set: one or more whole bytes per row
+    n = width + k
+    staircase = {(r, c) for r in range(1, n) for c in range(1, n - r + 1) if r + c > k + 1}
+    d = frame_mask(staircase, frame_stride(n, k), k)
+    assert pipedreams._dreams([d], _Packing(n, n - 1 - k), k) == {frozenset(staircase)}
+
+
 def test_transfer_certifies_each_letter(monkeypatch):
     # a row step that places letter 1 where the line descends
     real = pipedreams._rows
@@ -383,9 +423,9 @@ def test_transfer_certifies_distinct_dreams(monkeypatch):
     pipedreams._transfer_cached.cache_clear()
 
 
-# The row graph of 132 (k = 1, stride 2): layer 0 holds the line 2 3 with
+# The row graph of 132 (k = 1, stride 8): layer 0 holds the line 2 3 with
 # the rows {} and {1}, to the lines 2 3 and 3 2; layer 1 holds 2 3 with the
-# row {2}, at bit 2, and 3 2 with the empty row, both to the line 3 2.
+# row {2}, at bit 8, and 3 2 with the empty row, both to the line 3 2.
 
 
 def tampered_132(change):
@@ -406,8 +446,8 @@ def test_dream_fold_certifies_distinct_dreams():
 
 def test_dream_fold_certifies_the_crossing_count():
     def spare_slot(layers):
-        # the empty last row of 3 2 gains the spare slot of row 2, bit 3
-        layers[1][1] = [(1 << 3, 0, 0)]
+        # the empty last row of 3 2 gains the first spare slot of row 2, bit 9
+        layers[1][1] = [(1 << 9, 0, 0)]
 
     with pytest.raises(RuntimeError, match="distinct reduced words"):
         tampered_132(spare_slot).dreams
