@@ -3,8 +3,9 @@
 Subcommands: schubert, forest, check, pipedreams, verify.  Exit codes:
 0 success / verdicts agree, 1 usage or parse errors, a reader that closed
 stdout early, a standard output or error closed at start or not writable,
-a ``verify`` worker process that died or no memory left, 2 a
-verdict split (the pattern test and the polynomial test disagreeing) or an
+a ``verify`` worker process that died or no memory left, 2 a verdict split
+(the pattern test and the polynomial test disagreeing), a bad-pair split
+(on a 1432-avoider, a bad pair on a forest or none on a non-forest) or an
 oracle mismatch, 130 Ctrl-C.  ``--json`` keeps stdout machine-parseable;
 progress chatter for long verification runs goes to stderr.
 """
@@ -178,9 +179,8 @@ def _cmd_check(args) -> int:
     ]
     by_pattern = not hits
     by_expansion = is_forest_by_expansion(w)
-    bad = None
-    if PATTERN_1432 not in (p for p, _ in hits):
-        bad = find_bad_pair(w)
+    searched = PATTERN_1432 not in (p for p, _ in hits)
+    bad = find_bad_pair(w) if searched else None
 
     if by_pattern:
         headline = "forest: yes" if by_expansion else "forest: pattern test says yes"
@@ -192,7 +192,10 @@ def _cmd_check(args) -> int:
         headline = f"NOT forest: contains {contained}"
         if bad is not None:
             headline += f"; bad pair {_id_text(bad.parent)} / {_id_text(bad.child)}"
-    agree = by_pattern == by_expansion
+    # on a 1432-avoider a bad pair must appear exactly when the expansion
+    # test fails, as verify's cross-check counts
+    badpair_split = searched and (bad is not None) == by_expansion
+    agree = by_pattern == by_expansion and not badpair_split
 
     if args.json:
         print(
@@ -225,8 +228,11 @@ def _cmd_check(args) -> int:
                 f"bad pair: parent {_id_text(bad.parent)}, child {_id_text(bad.child)},"
                 f" witnessed in {len(bad.moves)} simple move(s)"
             )
-        if not agree:
+        if by_pattern != by_expansion:
             print("VERDICT SPLIT: the two tests disagree", file=sys.stderr)
+        if badpair_split:
+            found = "no bad pair on a non-forest" if bad is None else "a bad pair on a forest"
+            print(f"BAD-PAIR SPLIT: {found}", file=sys.stderr)
     return 0 if agree else 2
 
 

@@ -14,8 +14,9 @@ A valid labeling f picks 1 <= f(v) <= rho(v) with f weakly increasing along
 left edges and strictly increasing along right edges.  The forest polynomial
 is the sum of prod_v x_{f(v)} over valid labelings.
 
-One cache entry per trimmed code holds its forest, which carries the
-code's layout and, once computed, its forest polynomial.
+One cache entry per trimmed code is its forest, built from the code
+alone, which carries the code's layout and, once computed, its forest
+polynomial.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ __all__ = [
 
 
 class IndexedForest:
-    """An immutable forest.  Equality, hash and repr are over (code,
-    vertices, covers); ``steps`` is derived from the code."""
+    """The immutable forest of a code, built from the code alone: the
+    code is trimmed, and a negative entry raises ValueError.  Vertices,
+    covers and steps are functions of the code, so equality and hash are
+    over the code; repr shows (code, vertices, covers)."""
 
     code: LehmerCode
     vertices: tuple[Vertex, ...]  # sorted (rho, ordinal)
@@ -54,10 +57,16 @@ class IndexedForest:
     # that covers, roots(), the labeling rule and the polynomial read
     steps: tuple[tuple[int, int, int, int], ...]
 
-    def __init__(self, code, vertices, covers, steps) -> None:
+    def __init__(self, code) -> None:
+        code = trim_zeros(tuple(code))
+        if any(c < 0 for c in code):
+            raise ValueError("code entries must be nonnegative")
+        steps = _layout(code)[0]
+        vertices = _code_cells(code)
+        covers = sorted((vertices[p], vertices[s]) for s, p, start, _ in steps if start == 0 <= p)
         # assignment is refused, so this and the cached properties below
         # write to the instance dict directly
-        self.__dict__.update(code=code, vertices=vertices, covers=covers, steps=steps)
+        self.__dict__.update(code=code, vertices=vertices, covers=tuple(covers), steps=tuple(steps))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of IndexedForest")
@@ -65,16 +74,13 @@ class IndexedForest:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of IndexedForest")
 
-    def _key(self) -> tuple:
-        return (self.code, self.vertices, self.covers)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self.code == other.code
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.code)
 
     def __repr__(self) -> str:
         return (
@@ -162,19 +168,12 @@ def _layout(code: LehmerCode) -> tuple[list[tuple[int, int, int, int]], int, int
     return steps, ones, twos
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _forest_from_code_cached(code: LehmerCode) -> IndexedForest:
-    steps = _layout(code)[0]
-    vertices = _code_cells(code)
-    covers = sorted((vertices[p], vertices[s]) for s, p, start, _ in steps if start == 0 <= p)
-    return IndexedForest(code, vertices, tuple(covers), tuple(steps))
+_forest_from_code_cached = functools.lru_cache(maxsize=_CACHE_SIZE)(IndexedForest)
 
 
 def forest_from_code(code: LehmerCode) -> IndexedForest:
-    code = trim_zeros(tuple(code))
-    if any(c < 0 for c in code):
-        raise ValueError("code entries must be nonnegative")
-    return _forest_from_code_cached(code)
+    # trimmed first, so that (1, 0, 0) and (1,) share one entry
+    return _forest_from_code_cached(trim_zeros(tuple(code)))
 
 
 def code_of_forest(forest: IndexedForest) -> LehmerCode:
@@ -272,18 +271,15 @@ def render_forest(forest: IndexedForest) -> list[str]:
 
 
 def forest_to_json(forest: IndexedForest) -> dict:
-    index = {v: i for i, v in enumerate(forest.vertices)}
-
-    def ref(v: Optional[Vertex]) -> Optional[int]:
-        return None if v is None else index[v]
-
+    # vertices are in slot order, so a left child is the slot before
+    slot = {v: i for i, v in enumerate(forest.vertices)}
     return {
         "vertices": [
             {
                 "rho": v[0],
-                "left": ref(forest.left_child(v)),
-                "right": ref(forest.right_child(v)),
+                "left": i - 1 if v[1] > 1 else None,
+                "right": slot.get(forest.right_child(v)),
             }
-            for v in forest.vertices
+            for i, v in enumerate(forest.vertices)
         ]
     }

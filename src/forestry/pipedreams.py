@@ -11,16 +11,16 @@ first code(i) cells.  Every other reduced pipe dream for w arises from it
 by ladder moves (Bergeron-Billey); ``simple_closure`` takes the closure
 under order-0 moves only, which reaches every dream exactly when w avoids
 the pattern 1432 (a property the test suite checks exhaustively through
-S_6).  ``all_pipe_dreams`` and ``schubert`` climb no ladders: ``_transfer``
-expands the nilCoxeter product row by row (Fomin-Stanley) into a layered
-graph of lines, the permutations read so far, with ``_rows`` listing the
-letter sets the next row can add to a line.  One cache entry per
-permutation holds that graph, and the two functions are two folds over it,
-each run on first request: ``all_pipe_dreams`` collects the dream masks,
-``schubert`` sums packed weights and builds no dream.  Once both have run,
-the entry keeps their outputs and lets the graph go.  The test suite
-keeps the closure under ladder moves of every order as the reference for
-the transfer.
+S_6).  ``all_pipe_dreams`` and ``schubert`` climb no ladders: the row
+graph, ``_RowGraph``, expands the nilCoxeter product row by row
+(Fomin-Stanley) into a layered graph of lines, the permutations read so
+far, with ``_rows`` listing the letter sets the next row can add to a
+line.  One cache entry per permutation is that graph, built from w alone,
+and the two functions are two folds over it, each run on first request:
+``all_pipe_dreams`` collects the dream masks, ``schubert`` sums packed
+weights and builds no dream.  Once both have run, the entry keeps their
+outputs and lets the graph go.  The test suite keeps the closure under
+ladder moves of every order as the reference for the row graph.
 
 Inside this module a dream is also one int, a mask, in one frame: for w
 of trimmed length n with k leading fixed points, cell (r, c) carries
@@ -28,7 +28,7 @@ letter a = r + c - 1 and is bit (r - 1) * S + a - k - 1, where the stride
 S = ``_stride(n, k)`` is n - k rounded up to whole bytes.  Slots n - k - 1
 to S - 1 of each row are spares that stay empty, so a shift by one bit
 never carries a cell into the next row, and each row starts on a byte.
-``_transfer`` builds masks row by row, and ``_dreams`` decodes them a byte
+The row graph builds masks row by row, and ``_dreams`` decodes them a byte
 at a time: each byte of a row has a table from its value to the frozenset
 of its cells, and a dream is the union of its bytes' sets, which copies
 their stored hashes instead of hashing each cell again.  ``_slide_walk``,
@@ -42,7 +42,7 @@ parent; ``_can_slide`` checks a replayed move against the same frame.
 The walk may run in the frame of a larger n, a ``verify`` run's: that
 only adds spare slots; ``_start`` refuses an n below some row's
 r + code(r), which would leave that row no spare slot.  The walk's
-closure, the transfer and both of its folds certify what they return
+closure, the row graph and both of its folds certify what they return
 with explicit checks that raise RuntimeError.
 """
 
@@ -92,6 +92,10 @@ def _replay(d: int, line: list, stride: int) -> Optional[tuple]:
     row_bits = (1 << stride) - 1
     while d:
         bits = d & row_bits
+        if not bits:
+            # skip every empty row at once, to the row of the lowest set bit
+            d >>= ((d & -d).bit_length() - 1) // stride * stride
+            continue
         while bits:
             i = bits.bit_length() - 1
             bits ^= 1 << i
@@ -197,7 +201,7 @@ def _can_slide(frame: tuple, rows: list, i: int) -> bool:
 
 
 def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:
-    """The row step of ``_transfer``: every letter set one row of a dream
+    """The row step of the row graph: every letter set one row of a dream
     can hold when the row starts on ``line``, as masks over local letters.
 
     ``line`` holds the values at positions k + 1 .. n (k leading fixed
@@ -234,20 +238,60 @@ def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:
 
 
 class _RowGraph:
-    """``_transfer``'s layered graph of one w, and its two folds.
+    """The row graph of w (trimmed), whose paths are its reduced pipe
+    dreams, and its two folds.
 
-    ``layers[r - 1]`` holds, per line that dreams of w reach before row r,
-    its edges: (the row as a mask in the module's frame, its packed weight,
-    the index of the line after it in the next layer).  ``dreams`` folds
-    the masks and ``polynomial`` the weights, each from the last layer up
-    on first request, so a w asked only for its polynomial builds no dream;
-    once both have run, ``layers`` is None.  The dream fold raises
-    RuntimeError unless every dream has l(w) crossings and none appears
-    twice; the term fold, unless every term has degree l(w) and the least
-    is the Lehmer code with coefficient 1.
+    A line is the permutation read so far, and ``_rows`` gives the letter
+    sets row r can add to it.  ``layers[r - 1]`` holds, per line that
+    dreams of w reach before row r, its edges: (the row as a mask in the
+    module's frame, its packed weight, the index of the line after it in
+    the next layer).  So the completions of rows r.. from one line are
+    shared by every prefix that reaches it.  Building raises RuntimeError
+    unless every letter is an ascent when it is placed, every line after
+    the last row is w, and the rows ``_rows`` gives one line are distinct:
+    distinct paths are then distinct dreams, which the term fold has no
+    masks to check.
+
+    ``dreams`` folds the masks and ``polynomial`` the weights, each from
+    the last layer up, with no recursion, on first request, so a w asked
+    only for its polynomial builds no dream; once both have run,
+    ``layers`` is None.  The dream fold raises RuntimeError unless every
+    dream has l(w) crossings and none appears twice; the term fold, unless
+    every term has degree l(w) and the least is the Lehmer code with
+    coefficient 1.
     """
 
-    def __init__(self, w: Permutation, k: int, packing: _Packing, layers: list) -> None:
+    def __init__(self, w: Permutation) -> None:
+        n = len(w)
+        k = next((i for i, v in enumerate(w) if v != i + 1), 0)
+        stride = _stride(n, k)
+        # row r holds at most one crossing per letter, of n - 1 - k
+        packing = _Packing(n, n - 1 - k)
+        pos = (0, *inverse(w))  # pos[v]: the position of v in w
+        layers = []
+        frontier = {tuple(range(k + 1, n + 1)): 0}
+        for r in range(1, n):
+            shift, unit, target = (r - 1) * stride, packing.units[r], w[r - 1]
+            children: dict = {}
+            layer = []
+            for line in frontier:
+                rows = _rows(line, r - k - 1, target, pos)
+                if len(set(rows)) != len(rows):
+                    raise RuntimeError(f"rows {r} of dreams of {w} from {line} are not distinct")
+                edges = []
+                for bits in rows:
+                    u = _replay(bits, list(line), stride) if bits else line
+                    if u is None:
+                        raise RuntimeError(
+                            f"a letter in row {r} of a dream of {w} is not an ascent"
+                        )
+                    child = children.setdefault(u, len(children))
+                    edges.append((bits << shift, bits.bit_count() * unit, child))
+                layer.append(edges)
+            layers.append(layer)
+            frontier = children
+        if list(frontier) != [w[k:]]:
+            raise RuntimeError(f"a dream of {w} does not end at w")
         self.w, self.k, self.packing, self.layers = w, k, packing, layers
         self.code = lehmer_code(w)
 
@@ -304,57 +348,7 @@ class _RowGraph:
             self.layers = None
 
 
-def _transfer(w: Permutation) -> _RowGraph:
-    """The row graph of w (trimmed), whose paths are its reduced pipe dreams.
-
-    The nilCoxeter product is expanded row by row: a line is the
-    permutation read so far, and ``_rows`` gives the letter sets row r can
-    add to it.  Lines are the nodes of a layered graph, one layer per row,
-    so the completions of rows r.. from one line are shared by every prefix
-    that reaches it, and each fold of ``_RowGraph`` builds them once, with
-    no recursion.  Row masks are in the module's frame, with the stride
-    ``_stride(n, k)``, so a long w with k leading fixed points keeps short
-    masks.
-
-    Raises RuntimeError unless every letter is an ascent when it is placed,
-    every line after the last row is w, and the rows ``_rows`` gives for one
-    line are distinct: a layer adds one row, so distinct paths are then
-    distinct dreams, which the polynomial's fold has no masks to check.
-    """
-    n = len(w)
-    k = next((i for i, v in enumerate(w) if v != i + 1), 0)
-    stride = _stride(n, k)
-    # row r holds at most one crossing per letter, of n - 1 - k
-    packing = _Packing(n, n - 1 - k)
-    pos = (0, *inverse(w))  # pos[v]: the position of v in w
-    layers = []
-    frontier = {tuple(range(k + 1, n + 1)): 0}
-    for r in range(1, n):
-        shift, unit, target = (r - 1) * stride, packing.units[r], w[r - 1]
-        children: dict = {}
-        layer = []
-        for line in frontier:
-            rows = _rows(line, r - k - 1, target, pos)
-            if len(set(rows)) != len(rows):
-                raise RuntimeError(f"rows {r} of dreams of {w} from {line} are not distinct")
-            edges = []
-            for bits in rows:
-                u = _replay(bits, list(line), stride) if bits else line
-                if u is None:
-                    raise RuntimeError(f"a letter in row {r} of a dream of {w} is not an ascent")
-                child = children.setdefault(u, len(children))
-                edges.append((bits << shift, bits.bit_count() * unit, child))
-            layer.append(edges)
-        layers.append(layer)
-        frontier = children
-    if list(frontier) != [w[k:]]:
-        raise RuntimeError(f"a dream of {w} does not end at w")
-    return _RowGraph(w, k, packing, layers)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _transfer_cached(w: Permutation) -> _RowGraph:
-    return _transfer(w)
+_transfer_cached = functools.lru_cache(maxsize=_CACHE_SIZE)(_RowGraph)
 
 
 def all_pipe_dreams(w: Permutation) -> frozenset:

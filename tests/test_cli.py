@@ -245,6 +245,28 @@ def test_check_reports_a_verdict_split(capsys, monkeypatch):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "perm, witness, found",
+    [
+        ("2413", None, "no bad pair on a non-forest"),
+        ("4132", correspondence.BadPair((1, 1), (3, 1), ()), "a bad pair on a forest"),
+    ],
+)
+def test_check_reports_a_bad_pair_split(capsys, monkeypatch, perm, witness, found):
+    # on a 1432-avoider the bad-pair search must agree with the expansion
+    # test, as verify's cross-check counts; the pattern verdicts still agree
+    monkeypatch.setattr(cli, "find_bad_pair", lambda w: witness)
+    code, _, err = run(capsys, "check", perm)
+    assert code == 2
+    assert err == f"BAD-PAIR SPLIT: {found}\n"
+    code, out, err = run(capsys, "check", perm, "--json")
+    assert code == 2
+    obj = json.loads(out)
+    assert obj["pattern_forest"] == obj["expansion_forest"]
+    assert obj["agree"] is False
+    assert err == ""
+
+
 # --- pipedreams ---------------------------------------------------------------
 
 

@@ -104,8 +104,8 @@ def test_forest_is_an_immutable_value():
         "IndexedForest(code=(3, 0, 1), vertices=((1, 1), (1, 2), (1, 3), (3, 1)),"
         " covers=(((1, 2), (3, 1)),))"
     )
-    # steps are derived from the code, so ==, hash and repr leave them out
-    twin = forests.IndexedForest(forest.code, forest.vertices, forest.covers, steps=())
+    # a second object for the same code
+    twin = forests.IndexedForest(forest.code)
     assert twin == forest
     assert hash(twin) == hash(forest)
     assert forest != forest_from_code((3,))
@@ -491,6 +491,17 @@ def test_forest_json_fixture():
             {"rho": 3, "left": None, "right": None},
         ]
     }
+
+
+@given(codes(6, 3))
+def test_forest_json_matches_the_navigation(code):
+    forest = forest_from_code(code)
+    slots = {v: i for i, v in enumerate(forest.vertices)}
+    slots[None] = None
+    assert forest_to_json(forest)["vertices"] == [
+        {"rho": v[0], "left": slots[forest.left_child(v)], "right": slots[forest.right_child(v)]}
+        for v in forest.vertices
+    ]
 
 
 # --- deep codes --------------------------------------------------------------------

@@ -352,6 +352,18 @@ def test_long_sparse_permutation_is_fast():
     assert poly == sum((x(r) for r in range(1, n)), Polynomial.zero())
 
 
+def test_order_0_walk_skips_empty_rows_of_long_masks():
+    # w = 1 2 ... 2398 2400 2399: each of the 2399 masks of the walk has one
+    # crossing, in a frame of 2399 rows, so certifying each mask must not
+    # shift it down one empty row at a time
+    n = 2400
+    w = tuple(range(1, n - 1)) + (n, n - 1)
+    start = time.perf_counter()
+    closed = simple_closure(w)
+    assert time.perf_counter() - start < 1.0
+    assert closed == {frozenset({(r, n - r)}) for r in range(1, n)}
+
+
 # rows wider than one byte: n - k = 9, 9, 16 and 17 letters' slots, with
 # k = 0, 2, 1 and 0; the last has letters 1, 2, 9 and 16, so a row's
 # crossings sit on both sides of a byte boundary
@@ -395,7 +407,7 @@ def test_transfer_certifies_each_letter(monkeypatch):
 
     monkeypatch.setattr(pipedreams, "_rows", descent)
     with pytest.raises(RuntimeError, match="not an ascent"):
-        pipedreams._transfer((2, 1, 3))
+        pipedreams._RowGraph((2, 1, 3))
 
 
 def test_transfer_certifies_the_final_line(monkeypatch):
@@ -404,7 +416,7 @@ def test_transfer_certifies_the_final_line(monkeypatch):
 
     monkeypatch.setattr(pipedreams, "_rows", empty_rows)
     with pytest.raises(RuntimeError, match="does not end at w"):
-        pipedreams._transfer((1, 3, 2))
+        pipedreams._RowGraph((1, 3, 2))
 
 
 def test_transfer_certifies_distinct_dreams(monkeypatch):
@@ -429,11 +441,11 @@ def test_transfer_certifies_distinct_dreams(monkeypatch):
 
 
 def tampered_132(change):
-    # the row graph of 132 with ``change`` applied to its layers, as lists
-    graph = pipedreams._transfer((1, 3, 2))
-    layers = [[list(edges) for edges in layer] for layer in graph.layers]
-    change(layers)
-    return pipedreams._RowGraph(graph.w, graph.k, graph.packing, layers)
+    # a fresh row graph of 132, not the cached one, with ``change`` applied
+    # to its layers before either fold runs
+    graph = pipedreams._RowGraph((1, 3, 2))
+    change(graph.layers)
+    return graph
 
 
 def test_dream_fold_certifies_distinct_dreams():
@@ -454,7 +466,7 @@ def test_dream_fold_certifies_the_crossing_count():
 
 
 def test_term_fold_certifies_the_degree():
-    x3 = pipedreams._transfer((1, 3, 2)).packing.units[3]
+    x3 = pipedreams._RowGraph((1, 3, 2)).packing.units[3]
 
     def heavier(layers):
         # the dream {(2, 1)} weighs x2 x3 instead of x2; without the degree
@@ -467,7 +479,7 @@ def test_term_fold_certifies_the_degree():
 
 
 def test_entry_lets_its_layers_go_after_both_folds():
-    graph = pipedreams._transfer((1, 4, 3, 2))
+    graph = pipedreams._RowGraph((1, 4, 3, 2))
     assert graph.polynomial == schubert((1, 4, 3, 2))
     assert graph.layers is not None
     assert graph.dreams == all_pipe_dreams((1, 4, 3, 2))
@@ -486,7 +498,7 @@ def test_transfer_certifies_the_leading_term(monkeypatch):
 
     monkeypatch.setattr(pipedreams, "_rows", full_first_row)
     with pytest.raises(RuntimeError, match="leading term"):
-        pipedreams._transfer((1, 3, 2)).polynomial
+        pipedreams._RowGraph((1, 3, 2)).polynomial
 
 
 def test_schubert_builds_no_dream():
