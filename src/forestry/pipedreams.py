@@ -15,12 +15,17 @@ S_6).  ``all_pipe_dreams`` and ``schubert`` climb no ladders: the row
 graph, ``_RowGraph``, expands the nilCoxeter product row by row
 (Fomin-Stanley) into a layered graph of lines, the permutations read so
 far, with ``_rows`` listing the letter sets the next row can add to a
-line.  One cache entry per permutation is that graph, built from w alone,
-and the two functions are two folds over it, each run on first request:
-``all_pipe_dreams`` collects the dream masks, ``schubert`` sums packed
-weights and builds no dream.  Once both have run, the entry keeps their
-outputs and lets the graph go.  The test suite keeps the closure under
-ladder moves of every order as the reference for the row graph.
+line.  Each line is held relabelled by w^-1, so a row step, the rows of a
+line with the line after each, depends on the line and the row alone:
+``_row_step`` builds and certifies each step once, into a table per field
+layout that every w of the layout shares, emptied like the decode table
+before it grows past its bound.  One cache entry per permutation is the
+graph of w, its layers holding shared steps, and the two functions are
+two folds over it, each run on first request: ``all_pipe_dreams``
+collects the dream masks, ``schubert`` sums packed weights and builds no
+dream.  Once both have run, the entry keeps their outputs and lets the
+graph go.  The test suite keeps the closure under ladder moves of every
+order as the reference for the row graph.
 
 Inside this module a dream is also one int, a mask, in one frame: for w
 of trimmed length n with k leading fixed points, cell (r, c) carries
@@ -200,30 +205,30 @@ def _can_slide(frame: tuple, rows: list, i: int) -> bool:
     return _slides(occupied, stride) >> rows[i] * stride + offsets[i] & 1 == 1
 
 
-def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:
+def _rows(line, s: int) -> list[int]:
     """The row step of the row graph: every letter set one row of a dream
     can hold when the row starts on ``line``, as masks over local letters.
 
-    ``line`` holds the values at positions k + 1 .. n (k leading fixed
-    points of w), and local letter i swaps its entries i and i + 1.  ``s``
-    is the local index of the row's own position r, negative when r <= k.
-    After the row, position r must hold ``target`` = w(r): if it sits at
-    local index j, the row ends in the run of letters j - 1, ..., s that
-    carries it down, letter j is absent, and the letters above j are free.
-    A free letter, placed right to left, is kept only when w inverts the
-    pair it swaps (``pos`` = positions in w): no reduced word of w
-    continues past an inversion w lacks.  As every line then stays below w
-    in the weak order, that pair is also an ascent.  Each letter is left
-    out before it is taken, so the empty row, when there is one, comes
-    first.
+    ``line`` is a line of the row graph in ``_RowGraph``'s labels: the m
+    values at positions k + 1 .. n relabelled by w^-1 and complemented, so
+    that the label m - 1 - s marks w(r), and local letter i swaps entries
+    i and i + 1.  ``s`` is the local index of the row's own position r, -1
+    for every r <= k.  After the row, position r must hold w(r): if its
+    label sits at local index j, the row ends in the run of letters
+    j - 1, ..., s that carries it down, letter j is absent, and the letters
+    above j are free.
+    A free letter, placed right to left, is kept only when it is an ascent
+    of the labels, that is when w inverts the pair it swaps: no reduced
+    word of w continues past an inversion w lacks.  Each letter is left out
+    before it is taken, so the empty row, when there is one, comes first.
     """
     if s < 0:
         run, lo = 0, 0
     else:
-        j = line.index(target)
+        j = line.index(len(line) - 1 - s)
         run, lo = (1 << j) - (1 << s), j + 1
     rows = []
-    # (letter to decide, the value at its right-hand position, letters so far)
+    # (letter to decide, the label at its right-hand position, letters so far)
     stack = [(len(line) - 2, line[-1], run)]
     while stack:
         i, q, bits = stack.pop()
@@ -231,80 +236,130 @@ def _rows(line: tuple, s: int, target: int, pos: tuple) -> list[int]:
             rows.append(bits)
             continue
         p = line[i]
-        if pos[q] < pos[p]:
+        if p < q:
             stack.append((i - 1, q, bits | 1 << i))
         stack.append((i - 1, p, bits))
     return rows
+
+
+def _row_step(line, s: int, steps: dict) -> tuple:
+    """The certified entry of the row-step table ``steps`` for (``line``,
+    ``s``): per row of ``_rows``, (its mask over local letters, the line
+    after it).  Each line after a row is the one object the table keeps
+    for it, under the line itself.  Raises RuntimeError unless the rows
+    are distinct and every letter is an ascent of the labels when it is
+    placed."""
+    rows = _rows(line, s)
+    if len(set(rows)) != len(rows):
+        raise RuntimeError(f"the rows from line {list(line)} are not distinct")
+    step = []
+    for bits in rows:
+        child = _replay(bits, list(line), len(line)) if bits else line
+        if child is None:
+            raise RuntimeError(f"a letter of row {bits:#b} from line {list(line)} is not an ascent")
+        # the line's own type: bytes, or a tuple past 256 values
+        child = type(line)(child)
+        kept = steps.get(child)
+        if kept is None:
+            steps[child] = kept = child
+        step.append((bits, kept))
+    return tuple(step)
 
 
 class _RowGraph:
     """The row graph of w (trimmed), whose paths are its reduced pipe
     dreams, and its two folds.
 
-    A line is the permutation read so far, and ``_rows`` gives the letter
-    sets row r can add to it.  ``layers[r - 1]`` holds, per line that
-    dreams of w reach before row r, its edges: (the row as a mask in the
-    module's frame, its packed weight, the index of the line after it in
-    the next layer).  So the completions of rows r.. from one line are
-    shared by every prefix that reaches it.  Building raises RuntimeError
-    unless every letter is an ascent when it is placed, every line after
-    the last row is w, and the rows ``_rows`` gives one line are distinct:
-    distinct paths are then distinct dreams, which the term fold has no
-    masks to check.
+    A line is the permutation L read so far, at positions k + 1 .. n, held
+    relabelled by w^-1 and complemented: the m = n - k labels n - pos_w(v)
+    for v in L, as bytes (a tuple past 256 values).  The first line, the
+    identity, is n - pos_w(k + 1), ..., n - pos_w(n), the line w is
+    m - 1, ..., 0, and a row step, ``_row_step``, depends on its line and
+    its index s = r - k - 1 alone, the same for every s < 0.  So the
+    steps live in one table per field layout, the ``row_steps`` of the
+    ``_Packing``, shared by every w of that layout, each computed and
+    certified on its first use: its rows are distinct and each letter is
+    an ascent of the labels, so lowers the length of w^-1 L by one.
+    ``layers[r - 1]`` maps each line that dreams of w reach before row r
+    to its step: the rows, as masks over local letters, each with the line
+    after it.  So the completions of rows r.. from one line are shared by
+    every prefix that reaches it.  Building raises RuntimeError unless
+    every line after the last row is w.  A path then takes w^-1 L from
+    w^-1 to the identity, one inversion down per letter, so it has l(w)
+    letters, and those take L from the identity to w through ascents
+    only: a reduced word.  Distinct rows make distinct paths distinct
+    dreams, which the term fold has no masks to check.
 
     ``dreams`` folds the masks and ``polynomial`` the weights, each from
     the last layer up, with no recursion, on first request, so a w asked
-    only for its polynomial builds no dream; once both have run,
-    ``layers`` is None.  The dream fold raises RuntimeError unless every
-    dream has l(w) crossings and none appears twice; the term fold, unless
-    every term has degree l(w) and the least is the Lehmer code with
-    coefficient 1.
+    only for its polynomial builds no dream.  A line whose only row is
+    empty shares the masks or terms of the line that row leads to, and
+    one whose first row is empty starts from a copy of them.  Once both
+    folds have run, ``layers`` is None.  The dream fold raises
+    RuntimeError unless every dream has l(w) crossings and none appears
+    twice; the term fold, unless every term has degree l(w) and the least
+    is the Lehmer code with coefficient 1.
     """
 
     def __init__(self, w: Permutation) -> None:
         n = len(w)
         k = next((i for i, v in enumerate(w) if v != i + 1), 0)
-        stride = _stride(n, k)
         # row r holds at most one crossing per letter, of n - 1 - k
         packing = _Packing(n, n - 1 - k)
-        pos = (0, *inverse(w))  # pos[v]: the position of v in w
+        steps = packing.row_steps
+        labels = bytes if n - k <= 256 else tuple
         layers = []
-        frontier = {tuple(range(k + 1, n + 1)): 0}
+        frontier = {labels([n - p for p in inverse(w)[k:]]): None}
         for r in range(1, n):
-            shift, unit, target = (r - 1) * stride, packing.units[r], w[r - 1]
+            s = max(r - k - 1, -1)
             children: dict = {}
-            layer = []
+            layer = {}
             for line in frontier:
-                rows = _rows(line, r - k - 1, target, pos)
-                if len(set(rows)) != len(rows):
-                    raise RuntimeError(f"rows {r} of dreams of {w} from {line} are not distinct")
-                edges = []
-                for bits in rows:
-                    u = _replay(bits, list(line), stride) if bits else line
-                    if u is None:
-                        raise RuntimeError(
-                            f"a letter in row {r} of a dream of {w} is not an ascent"
-                        )
-                    child = children.setdefault(u, len(children))
-                    edges.append((bits << shift, bits.bit_count() * unit, child))
-                layer.append(edges)
+                step = steps.get((line, s))
+                if step is None:
+                    step = steps[line, s] = _row_step(line, s, steps)
+                layer[line] = step
+                for _, child in step:
+                    children[child] = None
             layers.append(layer)
             frontier = children
-        if list(frontier) != [w[k:]]:
+        end = labels(range(n - k - 1, -1, -1))
+        if list(frontier) != [end]:
             raise RuntimeError(f"a dream of {w} does not end at w")
-        self.w, self.k, self.packing, self.layers = w, k, packing, layers
+        self.w, self.k, self.packing, self.layers, self.end = w, k, packing, layers, end
         self.code = lehmer_code(w)
 
     @functools.cached_property
     def dreams(self) -> frozenset:
-        w = self.w
-        masks = [[0]]
-        for layer in reversed(self.layers):
-            masks = [
-                [bits | d for bits, _, child in edges for d in masks[child]] for edges in layer
-            ]
-        (masks,) = masks
-        dreams = _dreams(masks, self.packing, self.k)
+        w, k = self.w, self.k
+        stride = _stride(len(w), k)
+        masks = {self.end: [0]}
+        for r in reversed(range(len(self.layers))):
+            shift = r * stride
+            up = {}
+            for line, step in self.layers[r].items():
+                bits, child = step[0]
+                if bits:
+                    up[line] = [
+                        row | d
+                        for bits, child in step
+                        for row in (bits << shift,)
+                        for d in masks[child]
+                    ]
+                elif len(step) == 1:
+                    # a row that adds no letter lends its line the masks below
+                    up[line] = masks[child]
+                else:
+                    # an empty first row copies them, and the other rows add theirs
+                    up[line] = masks[child] + [
+                        row | d
+                        for bits, child in step[1:]
+                        for row in (bits << shift,)
+                        for d in masks[child]
+                    ]
+            masks = up
+        (masks,) = masks.values()
+        dreams = _dreams(masks, self.packing, k)
         n_inv = sum(self.code)
         if len(dreams) != len(masks) or set(map(int.bit_count, masks)) != {n_inv}:
             raise RuntimeError(f"the dreams of {w} are not {len(masks)} distinct reduced words")
@@ -313,27 +368,30 @@ class _RowGraph:
 
     @functools.cached_property
     def polynomial(self) -> Polynomial:
-        terms = [{0: 1}]
-        for layer in reversed(self.layers):
-            up = []
-            for edges in layer:
-                bits, _, child = edges[0]
+        units = self.packing.units
+        terms = {self.end: {0: 1}}
+        for r in reversed(range(len(self.layers))):
+            unit = units[r + 1]
+            up = {}
+            for line, step in self.layers[r].items():
+                bits, child = step[0]
                 if bits:
                     node = {}
-                elif len(edges) == 1:
+                elif len(step) == 1:
                     # a row that adds no letter lends its line the terms below
-                    up.append(terms[child])
+                    up[line] = terms[child]
                     continue
                 else:
-                    node, edges = dict(terms[child]), edges[1:]
+                    node, step = dict(terms[child]), step[1:]
                 get = node.get
-                for _, step, child in edges:
+                for bits, child in step:
+                    weight = bits.bit_count() * unit
                     for key, c in terms[child].items():
-                        key += step
+                        key += weight
                         node[key] = get(key, 0) + c
-                up.append(node)
+                up[line] = node
             terms = up
-        (terms,) = terms
+        (terms,) = terms.values()
         w, code, poly = self.w, self.code, self.packing.decode(terms)
         if set(map(sum, poly._terms)) != {sum(code)}:
             raise RuntimeError(f"a term of the Schubert polynomial of {w} has the wrong degree")

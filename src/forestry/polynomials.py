@@ -234,12 +234,28 @@ def _raw(terms: dict[Monomial, int]) -> Polynomial:
 # one entry per field layout (nvars, bits), shared by every _Packing of
 # that layout: its decode table, packed key -> trimmed exponent tuple, so
 # every decode of one monomial returns one tuple object, its ∂ tables (see
-# _divided_difference), and the pipe-dream row tables of each count k of
-# leading fixed points (see pipedreams._dreams).  A layout's decode table
-# is emptied before it would pass _INTERN_LIMIT entries; S_8 has at most 8!
-# monomials under the staircase and never reaches it.
-_INTERNED: dict[tuple[int, int], tuple[dict[int, Monomial], list, dict]] = {}
+# _divided_difference), the pipe-dream row tables of each count k of
+# leading fixed points (see pipedreams._dreams), and the row-step table of
+# the pipe-dream row graph (see pipedreams._RowGraph).  A layout's decode
+# table is emptied before it would pass _INTERN_LIMIT entries, and so is
+# its row-step table, a _Bounded; S_8 has at most 8! monomials under the
+# staircase and never fills a decode table.
+_INTERNED: dict[tuple[int, int], tuple[dict[int, Monomial], list, dict, dict]] = {}
 _INTERN_LIMIT = 1 << 16
+
+
+class _Bounded(dict):
+    """A dict that empties itself before it would pass _INTERN_LIMIT
+    entries.  Only a store runs Python code, so it suits tables that are
+    read far more often than filled; the decode table is filled once per
+    new monomial and keeps its bound inline."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key, value) -> None:
+        if len(self) >= _INTERN_LIMIT:
+            self.clear()
+        super().__setitem__(key, value)
 
 
 class _Packing:
@@ -254,7 +270,9 @@ class _Packing:
     largest total degree they reach.
     """
 
-    __slots__ = ("nvars", "bits", "mask", "units", "interned", "divdiffs", "row_cells")
+    __slots__ = (
+        "nvars", "bits", "mask", "units", "interned", "divdiffs", "row_cells", "row_steps"
+    )
 
     def __init__(self, nvars: int, max_exponent: int):
         self.nvars = nvars
@@ -264,9 +282,11 @@ class _Packing:
         self.units = (0,) + tuple(
             1 << self.bits * (nvars - i) for i in range(1, nvars + 1)
         )
-        self.interned, self.divdiffs, self.row_cells = _INTERNED.setdefault(
-            (nvars, self.bits), ({}, [None] * nvars, {})
-        )
+        layout = (nvars, self.bits)
+        entry = _INTERNED.get(layout)
+        if entry is None:
+            entry = _INTERNED.setdefault(layout, ({}, [None] * nvars, {}, _Bounded()))
+        self.interned, self.divdiffs, self.row_cells, self.row_steps = entry
 
     def pack(self, exps: Sequence[int]) -> int:
         """The key of the monomial with exponents ``exps``."""

@@ -336,6 +336,22 @@ def test_transfer_matches_the_ladder_move_closure_on_s7():
     check_transfer_matches_ladder_moves(7)
 
 
+@pytest.mark.extended
+def test_shared_steps_match_fresh_steps_on_s8(monkeypatch):
+    # every permutation of S_8 gets the same dreams and polynomial from the
+    # row-step table its layout shares as from an empty one
+    def digests(fresh):
+        found = []
+        for w in all_permutations(8):
+            if fresh:
+                monkeypatch.setattr(polynomials, "_INTERNED", {})
+            graph = pipedreams._RowGraph(trim(w))
+            found.append((hash(graph.dreams), hash(graph.polynomial)))
+        return found
+
+    assert digests(fresh=False) == digests(fresh=True)
+
+
 def test_long_sparse_permutation_is_fast():
     # w = 1 2 ... 1198 1200 1199: one crossing on the diagonal r + c = 1200
     # in each of rows 1..1199, so masks must not grow with the square of n,
@@ -350,6 +366,29 @@ def test_long_sparse_permutation_is_fast():
     assert closed
     assert dreams == {frozenset({(r, n - r)}) for r in range(1, n)}
     assert poly == sum((x(r) for r in range(1, n)), Polynomial.zero())
+
+
+def test_dream_fold_lends_empty_rows_the_masks_below():
+    # w = 1 2 ... 2398 2400 2399: of the two lines of each layer, one has
+    # only the empty row and one starts with it, so the fold must share or
+    # copy the masks below them, not OR an empty row into each
+    n = 2400
+    w = tuple(range(1, n - 1)) + (n, n - 1)
+    start = time.perf_counter()
+    dreams = all_pipe_dreams(w)
+    assert time.perf_counter() - start < 1.0
+    assert dreams == {frozenset({(r, n - r)}) for r in range(1, n)}
+
+
+def test_lines_past_256_labels_are_tuples():
+    # 2 3 ... 301 1 has no leading fixed point, so its lines hold 301
+    # labels, more than bytes can; its one dream is the bottom one
+    n = 301
+    w = tuple(range(2, n + 1)) + (1,)
+    graph = pipedreams._RowGraph(w)
+    assert all(type(line) is tuple for layer in graph.layers for line in layer)
+    assert graph.dreams == {reference_bottom(w)}
+    assert graph.polynomial == Polynomial.monomial((1,) * (n - 1))
 
 
 def test_order_0_walk_skips_empty_rows_of_long_masks():
@@ -398,20 +437,31 @@ def test_full_staircase_mask_decodes_to_every_cell(width, k):
     assert pipedreams._dreams([d], _Packing(n, n - 1 - k), k) == {frozenset(staircase)}
 
 
-def test_transfer_certifies_each_letter(monkeypatch):
-    # a row step that places letter 1 where the line descends
+@pytest.fixture
+def fresh_steps(monkeypatch):
+    # empty per-layout tables, row steps among them, and an empty row-graph
+    # cache, so that a step cached from a real row graph cannot hide a
+    # patched _rows
+    monkeypatch.setattr(polynomials, "_INTERNED", {})
+    pipedreams._transfer_cached.cache_clear()
+    yield
+    pipedreams._transfer_cached.cache_clear()
+
+
+def test_transfer_certifies_each_letter(monkeypatch, fresh_steps):
+    # a row step that places local letter 0 where the labels descend
     real = pipedreams._rows
 
-    def descent(line, *args):
-        return [b | (line[0] > line[1]) for b in real(line, *args)]
+    def descent(line, s):
+        return [b | (line[0] > line[1]) for b in real(line, s)]
 
     monkeypatch.setattr(pipedreams, "_rows", descent)
     with pytest.raises(RuntimeError, match="not an ascent"):
         pipedreams._RowGraph((2, 1, 3))
 
 
-def test_transfer_certifies_the_final_line(monkeypatch):
-    def empty_rows(*args):
+def test_transfer_certifies_the_final_line(monkeypatch, fresh_steps):
+    def empty_rows(line, s):
         return [0]
 
     monkeypatch.setattr(pipedreams, "_rows", empty_rows)
@@ -419,30 +469,33 @@ def test_transfer_certifies_the_final_line(monkeypatch):
         pipedreams._RowGraph((1, 3, 2))
 
 
-def test_transfer_certifies_distinct_dreams(monkeypatch):
+def test_transfer_certifies_distinct_dreams(monkeypatch, fresh_steps):
     # every row twice: each dream twice, caught in the forward pass that
     # both folds share, so through either public function alone
     real = pipedreams._rows
 
-    def twice(*args):
-        return real(*args) * 2
+    def twice(line, s):
+        return real(line, s) * 2
 
     monkeypatch.setattr(pipedreams, "_rows", twice)
     for public in (schubert, all_pipe_dreams):
         pipedreams._transfer_cached.cache_clear()
         with pytest.raises(RuntimeError, match="distinct"):
             public((1, 3, 2))
-    pipedreams._transfer_cached.cache_clear()
 
 
-# The row graph of 132 (k = 1, stride 8): layer 0 holds the line 2 3 with
-# the rows {} and {1}, to the lines 2 3 and 3 2; layer 1 holds 2 3 with the
-# row {2}, at bit 8, and 3 2 with the empty row, both to the line 3 2.
+# The row graph of 132 (k = 1, m = 2, stride 8), its lines as labels, the
+# values relabelled by w^-1 and complemented: layer 0 holds the first line,
+# 0 1, with the rows {} and {0}, to the lines 0 1 and 1 0; layer 1 holds
+# 0 1 with the row {0}, which the folds shift to bit 8, and 1 0 with the
+# empty row, both to the line 1 0, which is w.
+START_132, END_132 = bytes([0, 1]), bytes([1, 0])
 
 
 def tampered_132(change):
     # a fresh row graph of 132, not the cached one, with ``change`` applied
-    # to its layers before either fold runs
+    # to its layers before either fold runs; a change replaces a line's
+    # step in the layer and leaves the shared step table as it is
     graph = pipedreams._RowGraph((1, 3, 2))
     change(graph.layers)
     return graph
@@ -450,7 +503,7 @@ def tampered_132(change):
 
 def test_dream_fold_certifies_distinct_dreams():
     def two_paths_one_dream(layers):
-        layers[0][0].append(layers[0][0][-1])
+        layers[0][START_132] += layers[0][START_132][-1:]
 
     with pytest.raises(RuntimeError, match="distinct"):
         tampered_132(two_paths_one_dream).dreams
@@ -458,24 +511,70 @@ def test_dream_fold_certifies_distinct_dreams():
 
 def test_dream_fold_certifies_the_crossing_count():
     def spare_slot(layers):
-        # the empty last row of 3 2 gains the first spare slot of row 2, bit 9
-        layers[1][1] = [(1 << 9, 0, 0)]
+        # the empty last row of 1 0 gains the first spare slot of row 2,
+        # local bit 1, bit 9 of the mask
+        layers[1][END_132] = ((1 << 1, END_132),)
 
     with pytest.raises(RuntimeError, match="distinct reduced words"):
         tampered_132(spare_slot).dreams
 
 
 def test_term_fold_certifies_the_degree():
-    x3 = pipedreams._RowGraph((1, 3, 2)).packing.units[3]
-
     def heavier(layers):
-        # the dream {(2, 1)} weighs x2 x3 instead of x2; without the degree
-        # check the leading-term check would raise instead
-        bits, step, child = layers[1][0][0]
-        layers[1][0][0] = (bits, step + x3, child)
+        # the dream {(2, 1)} loses its crossing and weighs 1 instead of x2;
+        # without the degree check the leading-term check would raise
+        # instead
+        layers[1][START_132] = ((0, END_132),)
 
     with pytest.raises(RuntimeError, match="degree"):
         tampered_132(heavier).polynomial
+
+
+def test_a_second_row_graph_adds_no_step(fresh_steps):
+    # every step of w is in the layout's table after one build; a second
+    # build finds each there and shares it
+    w = (2, 5, 1, 4, 3)
+    first = pipedreams._RowGraph(w)
+    steps = first.packing.row_steps
+    size = len(steps)
+    second = pipedreams._RowGraph(w)
+    assert len(steps) == size > 0
+    for ours, theirs in zip(first.layers, second.layers):
+        assert list(ours) == list(theirs)
+        assert all(ours[line] is theirs[line] for line in ours)
+
+
+def test_the_step_table_is_bounded(monkeypatch, fresh_steps):
+    # with room for 8 steps a layout's table is emptied again and again,
+    # and the dreams and polynomials stay right
+    monkeypatch.setattr(polynomials, "_INTERN_LIMIT", 8)
+    seen: dict = {}
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            graph = pipedreams._RowGraph(trim(w))
+            steps = graph.packing.row_steps
+            assert len(steps) <= 8
+            seen.setdefault(id(steps), set()).update(steps)
+            assert graph.dreams == reference_closure(w), w
+            assert graph.polynomial == schubert_divdiff(w), w
+    assert max(map(len, seen.values())) > 8
+
+
+def test_a_cached_step_with_doubled_rows_is_caught(fresh_steps):
+    w = (1, 3, 2)
+    steps = pipedreams._RowGraph(w).packing.row_steps
+    steps[START_132, -1] *= 2
+    with pytest.raises(RuntimeError, match="distinct"):
+        all_pipe_dreams(w)
+
+
+def test_a_cached_step_with_a_wrong_child_is_caught(fresh_steps):
+    # row 2 of 0 1 now leads back to 0 1 instead of to w
+    w = (1, 3, 2)
+    steps = pipedreams._RowGraph(w).packing.row_steps
+    steps[START_132, 0] = ((1, START_132),)
+    with pytest.raises(RuntimeError, match="does not end at w"):
+        pipedreams._RowGraph(w)
 
 
 def test_entry_lets_its_layers_go_after_both_folds():
@@ -486,14 +585,14 @@ def test_entry_lets_its_layers_go_after_both_folds():
     assert graph.layers is None
 
 
-def test_transfer_certifies_the_leading_term(monkeypatch):
+def test_transfer_certifies_the_leading_term(monkeypatch, fresh_steps):
     # 132 has the dreams {(1, 2)} and, at the bottom, {(2, 1)}; a row step
     # that never leaves row 1 empty loses the bottom one (row 1 is the one
     # row of 132 whose position is a leading fixed point, so s < 0)
     real = pipedreams._rows
 
-    def full_first_row(line, s, target, pos):
-        rows = real(line, s, target, pos)
+    def full_first_row(line, s):
+        rows = real(line, s)
         return [b for b in rows if b] if s < 0 else rows
 
     monkeypatch.setattr(pipedreams, "_rows", full_first_row)
